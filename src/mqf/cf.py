@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-import numpy as np
-
 from .certifier import (
     DEFAULT_PAIR_BUDGET,
     WitnessSet,
@@ -27,7 +25,6 @@ from .errors import (
     WitnessNotFoundError,
 )
 from .fields import FieldElement, MultiquadField, make_field, is_squarefree
-from .indecomposables import DEFAULT_ORACLE_BUDGET, exhaustive_indecomposable
 
 DEFAULT_TRACE_BOUND = 1000
 DEFAULT_SCAN_LIMIT = 100_000
@@ -57,6 +54,20 @@ class CFExpansion:
         return {"D": self.D, "a0": self.a0, "period": list(self.period)}
 
 
+def _cf_terms(D: int, P: int, Q: int):
+    """Yield (a_n, Q_n), n = 0, 1, ..., of xi = (P + sqrt(D))/Q.
+
+    The integer (P, Q) recurrence needs Q > 0 and Q | D - P^2 at the start;
+    both then hold at every step.
+    """
+    root = isqrt(D)
+    while True:
+        a = (P + root) // Q
+        yield a, Q
+        P = a * Q - P
+        Q = (D - P * P) // Q
+
+
 def cf_expand(D: int) -> CFExpansion:
     """Exact periodic expansion of sqrt(D) via the integer (P, Q) recurrence."""
     if D < 2:
@@ -68,11 +79,9 @@ def cf_expand(D: int) -> CFExpansion:
         raise NotSquarefreeError(D, "D")
     period = []
     q_values = []
-    P, Q, a = 0, 1, a0
-    while True:
-        P = a * Q - P
-        Q = (D - P * P) // Q
-        a = (a0 + P) // Q
+    terms = _cf_terms(D, 0, 1)
+    next(terms)
+    for a, Q in terms:
         period.append(a)
         q_values.append(Q)
         if Q == 1:
@@ -95,47 +104,56 @@ def convergents(cf: CFExpansion, count: int) -> list[tuple[int, int]]:
     return out
 
 
-def _quadratic_lattice_arrays(field: MultiquadField, trace_bound: int):
-    """All (n0, n1) with x = (n0 + n1 sqrt(D))/2 integral, totally positive,
-    Tr(x) = n0 <= trace_bound.  Entirely exact in int64 arithmetic."""
-    D = field.radicands[1]
-    if trace_bound < 1:
-        return np.empty((0, 2), dtype=np.int64)
-    n1_max = isqrt(trace_bound * trace_bound // D)
-    n0 = np.arange(1, trace_bound + 1, dtype=np.int64)
-    n1 = np.arange(-n1_max, n1_max + 1, dtype=np.int64)
-    g0, g1 = np.meshgrid(n0, n1, indexing="ij")
-    g0 = g0.ravel()
-    g1 = g1.ravel()
-    # Integrality in (1/2)Z[sqrt(D)]: even/even always; odd/odd only for D = 1 mod 4.
-    both_even = ((g0 & 1) == 0) & ((g1 & 1) == 0)
+def _semiconvergent_coords(D: int, trace_bound: int) -> list[tuple[int, int]]:
+    """Scaled coordinates (n0, n1), x = (n0 + n1 sqrt(D))/2, of every
+    indecomposable of Q(sqrt(D)) with trace n0 <= trace_bound, sorted.
+
+    With xi = -omega' (sqrt(D), or (sqrt(D) - 1)/2 when D = 1 mod 4) and
+    alpha_n = p_n + q_n omega built from the convergents p_n/q_n of xi, the
+    indecomposables are the semiconvergents alpha_i + r alpha_(i+1), odd
+    i >= -1, 0 <= r <= u_(i+2), and their conjugates (Perron; Dress-Scharlau).
+    Every term of a later block has larger embedding >= alpha_(i+2), and the
+    trace of a totally positive element exceeds its larger embedding, so the
+    expansion stops once alpha_(i+2) > trace_bound.
+    """
     if D % 4 == 1:
-        integral = both_even | (((g0 & 1) == 1) & ((g1 & 1) == 1))
+        terms = _cf_terms(D, -1, 2)
+
+        def scaled(p, q):
+            return 2 * p + q, q
     else:
-        integral = both_even
-    positive = g0 * g0 > D * g1 * g1  # with n0 > 0 this is total positivity
-    keep = integral & positive
-    coords = np.stack([g0[keep], g1[keep]], axis=1)
-    order = np.lexsort((coords[:, 1], coords[:, 0]))
-    return coords[order]
+        terms = _cf_terms(D, 0, 1)
+
+        def scaled(p, q):
+            return 2 * p, 2 * q
+
+    def floor_embedding(p, q):
+        n0, n1 = scaled(p, q)
+        return (n0 + isqrt(n1 * n1 * D)) // 2
+
+    found = set()
+    prev = (1, 0)  # alpha_i, i odd; starts at alpha_(-1) = 1
+    cur = (next(terms)[0], 1)  # alpha_(i+1)
+    while True:
+        u = next(terms)[0]  # u_(i+2)
+        for r in range(u + 1):
+            n0, n1 = scaled(prev[0] + r * cur[0], prev[1] + r * cur[1])
+            if n0 <= trace_bound:
+                found.add((n0, n1))
+                found.add((n0, -n1))
+        prev = (u * cur[0] + prev[0], u * cur[1] + prev[1])  # alpha_(i+2)
+        if floor_embedding(*prev) > trace_bound:
+            return sorted(found)
+        u = next(terms)[0]  # u_(i+3)
+        cur = (u * prev[0] + cur[0], u * prev[1] + cur[1])  # alpha_(i+3)
 
 
-def quadratic_candidates(cf: CFExpansion, trace_bound: int,
-                         oracle_budget: int = DEFAULT_ORACLE_BUDGET) -> list[FieldElement]:
-    """All totally positive integers of Q(sqrt(D)) with trace <= trace_bound
-    that the exhaustive oracle confirms indecomposable, ordered by trace."""
+def quadratic_candidates(cf: CFExpansion, trace_bound: int) -> list[FieldElement]:
+    """All indecomposables of Q(sqrt(D)) with trace <= trace_bound, ordered by
+    trace, from the semiconvergents of the continued fraction."""
     field = make_field([cf.D])
-    out = []
-    for n0, n1 in _quadratic_lattice_arrays(field, trace_bound):
-        x = field.from_scaled([int(n0), int(n1)], 2)
-        verdict = exhaustive_indecomposable(x, oracle_budget)
-        if verdict.verdict.is_indecomposable:
-            out.append(x)
-    return out
-
-
-def _norm_scaled(D: int, n0: int, n1: int) -> Fraction:
-    return Fraction(n0 * n0 - D * n1 * n1, 4)
+    return [field.from_scaled([n0, n1], 2)
+            for n0, n1 in _semiconvergent_coords(cf.D, trace_bound)]
 
 
 def _minkowski_covol_sq(D: int) -> int:
@@ -194,8 +212,7 @@ def _search_pool(field: MultiquadField, pool: list[FieldElement], n_wanted: int,
 
 
 def search_witnesses(D: int, N: int, trace_bound: int = DEFAULT_TRACE_BOUND,
-                     *, pair_budget: int = DEFAULT_PAIR_BUDGET,
-                     oracle_budget: int = DEFAULT_ORACLE_BUDGET) -> WitnessSet:
+                     *, pair_budget: int = DEFAULT_PAIR_BUDGET) -> WitnessSet:
     """Find and certify N witnesses in Q(sqrt(D)) from the indecomposable pool.
 
     Raises WitnessNotFoundError when the pool admits no certified set; that is
@@ -205,7 +222,7 @@ def search_witnesses(D: int, N: int, trace_bound: int = DEFAULT_TRACE_BOUND,
         raise ValueError("N must be >= 1")
     cf = cf_expand(D)
     field = make_field([D])
-    pool = quadratic_candidates(cf, trace_bound, oracle_budget)
+    pool = quadratic_candidates(cf, trace_bound)
     if len(pool) < N:
         raise WitnessNotFoundError(
             f"pool for D={D} has only {len(pool)} indecomposables with trace <= {trace_bound}"
@@ -222,43 +239,33 @@ def search_witnesses(D: int, N: int, trace_bound: int = DEFAULT_TRACE_BOUND,
     return WitnessSet(field, tuple(witnesses), cert)
 
 
-def _thin_pool(field: MultiquadField, trace_bound: int,
-               oracle_budget: int) -> list[FieldElement]:
+def _thin_pool(field: MultiquadField, trace_bound: int) -> list[FieldElement]:
     """Pool of all indecomposables that could appear in a certified set.
 
-    Two exact necessary conditions prune candidates before the oracle runs,
-    and neither can exclude a usable witness:
+    1 comes first; the other semiconvergents pass two exact necessary
+    conditions, neither of which can exclude a usable witness:
 
     * norm < D/4 - otherwise Minkowski's theorem puts a violating c inside
       any pair's candidate rectangle;
-    * minimal embedding < 1 (except for 1 itself) - an element with every
-      embedding above 1 decomposes as 1 + (x - 1) and is not indecomposable.
+    * minimal embedding < 1 - an element with every embedding above 1
+      decomposes as 1 + (x - 1) and is not indecomposable.
     """
     D = field.radicands[1]
-    coords = _quadratic_lattice_arrays(field, trace_bound)
-    if not len(coords):
+    coords = _semiconvergent_coords(D, trace_bound)
+    if not coords:
         return []
-    n0 = coords[:, 0]
-    n1 = coords[:, 1]
-    norm4 = n0 * n0 - D * n1 * n1  # 4*N(x), positive here
-    small_norm = norm4 < D
-    thin = (n0 - 2) * (n0 - 2) < D * n1 * n1  # min embedding < 1
-    keep = small_norm & thin
     pool = [field.one()]
-    for row in coords[keep]:
-        x = field.from_scaled([int(row[0]), int(row[1])], 2)
-        if x == 1:
-            continue
-        verdict = exhaustive_indecomposable(x, oracle_budget)
-        if verdict.verdict.is_indecomposable:
-            pool.append(x)
+    for n0, n1 in coords:
+        small_norm = n0 * n0 - D * n1 * n1 < D  # 4*N(x) < D
+        thin = (n0 - 2) * (n0 - 2) < D * n1 * n1  # min embedding < 1
+        if small_norm and thin:
+            pool.append(field.from_scaled([n0, n1], 2))
     return pool
 
 
 def scan_for_witnesses(N: int, *, d_limit: int = DEFAULT_SCAN_LIMIT,
                        trace_bound: int = DEFAULT_TRACE_BOUND,
                        pair_budget: int = DEFAULT_PAIR_BUDGET,
-                       oracle_budget: int = DEFAULT_ORACLE_BUDGET,
                        d_start: int = 2) -> WitnessSet:
     """Scan D upward until some Q(sqrt(D)) yields a certified N-witness set.
 
@@ -279,7 +286,7 @@ def scan_for_witnesses(N: int, *, d_limit: int = DEFAULT_SCAN_LIMIT,
             caps.append(trace_bound)
         witnesses = None
         for cap in caps:
-            pool = _thin_pool(field, cap, oracle_budget)
+            pool = _thin_pool(field, cap)
             if len(pool) < N:
                 continue
             witnesses, limited = _search_pool(field, pool, N, pair_budget)

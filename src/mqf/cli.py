@@ -33,12 +33,25 @@ def _parse_primes(text: str) -> list[int]:
         raise MqfError(f"cannot parse generator list '{text}'")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got '{text}'")
+    return value
+
+
 def _budget(args, default: int) -> int:
     if getattr(args, "budget", None) is not None:
         return args.budget
     env = os.environ.get("MQF_BUDGET")
     if env:
-        return int(env)
+        try:
+            return _positive_int(env)
+        except argparse.ArgumentTypeError as exc:
+            raise MqfError(f"MQF_BUDGET: {exc}")
     return default
 
 
@@ -136,13 +149,11 @@ def _witness_lines(ws: WitnessSet) -> list[str]:
 def cmd_witness(args) -> int:
     budget = _budget(args, certifier.DEFAULT_PAIR_BUDGET)
     if args.D is not None:
-        ws = cf.search_witnesses(args.D, args.N, args.trace_bound,
-                                 pair_budget=budget, oracle_budget=args.oracle_budget)
+        ws = cf.search_witnesses(args.D, args.N, args.trace_bound, pair_budget=budget)
     else:
         ws = cf.scan_for_witnesses(args.N, d_limit=args.scan_limit,
                                    trace_bound=args.trace_bound,
                                    pair_budget=budget,
-                                   oracle_budget=args.oracle_budget,
                                    d_start=args.scan_start)
     _emit(args, ws.to_json(), _witness_lines(ws))
     return EXIT_OK
@@ -219,8 +230,15 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error on one stderr line; main() maps it to exit 3."""
+
+    def error(self, message):
+        self.exit(2, f"error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mqf",
         description="Exact multiquadratic arithmetic and certified lower bounds "
                     "for universal quadratic forms.",
@@ -248,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("indec", help="indecomposability criterion and oracle")
     p.add_argument("--field", required=True)
     p.add_argument("--elem", required=True)
-    p.add_argument("--budget", type=int, help="oracle lattice-point budget")
+    p.add_argument("--budget", type=_positive_int, help="oracle lattice-point budget")
     p.add_argument("--deterministic", action="store_true",
                    help="lexicographically smallest decomposition witness")
     p.add_argument("--oracle-only", action="store_true",
@@ -258,12 +276,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cf", help="continued fraction of sqrt(D)")
     p.add_argument("--D", type=int, required=True)
-    p.add_argument("--convergents", type=int, default=0, metavar="COUNT")
+    p.add_argument("--convergents", type=_positive_int, metavar="COUNT")
     common(p)
     p.set_defaults(handler=cmd_cf)
 
     p = sub.add_parser("witness", help="search or scan for certified witnesses")
-    p.add_argument("--N", type=int, required=True, help="witness count (m(K) >= N)")
+    p.add_argument("--N", type=_positive_int, required=True,
+                   help="witness count (m(K) >= N)")
     p.add_argument("--D", type=int, help="search this field only")
     p.add_argument("--scan-limit", type=int, default=cf.DEFAULT_SCAN_LIMIT,
                    help="scan squarefree D up to this bound (when --D is absent)")
@@ -271,14 +290,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="start the D-scan here; successive starts enumerate "
                         "successive admissible fields")
     p.add_argument("--trace-bound", type=int, default=cf.DEFAULT_TRACE_BOUND)
-    p.add_argument("--budget", type=int, help="per-pair lattice budget")
-    p.add_argument("--oracle-budget", type=int, default=indecomposables.DEFAULT_ORACLE_BUDGET)
+    p.add_argument("--budget", type=_positive_int, help="per-pair lattice budget")
     common(p)
     p.set_defaults(handler=cmd_witness)
 
     p = sub.add_parser("certify", help="certify a witness-set JSON file")
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_positive_int)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--with-witnesses", action="store_true",
                    help="emit the witness set with embedded certificate instead "
@@ -288,11 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tower", help="build a certified multiquadratic tower")
     p.add_argument("--D", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--k", type=int, required=True, help="tower height (degree 2^k)")
+    p.add_argument("--N", type=_positive_int, required=True)
+    p.add_argument("--k", type=_positive_int, required=True,
+                   help="tower height (degree 2^k)")
     p.add_argument("--offsets", help="comma-separated q offsets per level")
     p.add_argument("--trace-bound", type=int, default=cf.DEFAULT_TRACE_BOUND)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_positive_int)
     p.add_argument("--deep-verify", action="store_true",
                    help="also certify the witness set in the top field (expensive)")
     common(p)

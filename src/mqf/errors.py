@@ -59,15 +59,6 @@ class PerfectSquareError(MqfError):
     """sqrt(D) has no continued-fraction expansion because D is square."""
 
 
-class UnsupportedResidueClassError(MqfError):
-    """Reserved: residue classes outside the implemented table.
-
-    The default implementation falls back to a verified saturation search
-    instead of raising this, so it is kept only for callers that want to
-    catch it alongside the other basis errors.
-    """
-
-
 class BackendUnavailableError(MqfError, RuntimeError):
     """The scan-kernel backend that MQF_JIT asks for cannot be loaded."""
 

@@ -189,18 +189,6 @@ class IntegralBasis:
     def to_json(self) -> list:
         return [b.to_json() for b in self.basis]
 
-    def index_in_superset(self) -> int:
-        """Index of the 2^k-scaled basis lattice inside Z^(2^k) (det of HNF)."""
-        scale = 1 << self.field.k
-        rows = []
-        for b in self.basis:
-            den, coords = b.scaled_coords()
-            rows.append([c * (scale // den) for c in coords])
-        det = 1
-        for i, row in enumerate(hnf_rows(rows)):
-            det *= row[i]
-        return det
-
 
 def _saturate_biquadratic(field: MultiquadField) -> list[list[int]]:
     """HNF basis (rows scaled by 4) of O_K for any biquadratic field.

@@ -13,6 +13,13 @@ order, so both paths round identically): a numba ``@njit`` version and a pure
 numpy version.  Selection: environment variable ``MQF_JIT`` — ``"1"`` forces
 numba, ``"0"`` forces numpy, unset prefers numba when importable.  Numba
 is optional: ``"1"`` without it raises ``BackendUnavailableError``.
+
+The numpy version works in a ``_Workspace`` that ``scan_box`` allocates once
+per scan, sized to one chunk or to the whole scan when that is smaller: the
+coordinates (column-major), the flat index, the accumulators and the masks.
+Each chunk writes into it through ``out=`` ufuncs, so no chunk-sized array is
+allocated per chunk; only the survivor rows are fresh arrays.  The workspace
+belongs to the scan and is freed when the scan ends.
 """
 
 from __future__ import annotations
@@ -72,31 +79,69 @@ class BoxScan:
         return int(np.prod(self.shape.astype(object)))
 
 
+class _Workspace:
+    """Buffers for numpy chunks of up to ``size`` points in ``m`` dimensions.
+
+    Coordinates are stored column-major, one contiguous row per axis, so every
+    ufunc below runs on contiguous memory and writes through ``out=``.
+    """
+
+    def __init__(self, m: int, size: int):
+        self.base = np.arange(size, dtype=np.int64)
+        self.idx = np.empty(size, dtype=np.int64)
+        self.coords = np.empty((m, size), dtype=np.int64)
+        self.acc = np.empty(size, dtype=np.float64)
+        self.term = np.empty(size, dtype=np.float64)
+        self.q = np.empty(size, dtype=np.int64)
+        self.keep = np.empty(size, dtype=np.bool_)
+        self.test = np.empty(size, dtype=np.bool_)
+
+
 def _scan_chunk_numpy(lo, shape, g0, g1, embed, emb_lo, emb_hi, margin,
-                      ell_coeffs, ell_bound, skip_zero):
+                      ell_coeffs, ell_bound, skip_zero, work=None):
     count = g1 - g0
     m = lo.shape[0]
-    coords = np.empty((count, m), dtype=np.int64)
-    idx = np.arange(g0, g1, dtype=np.int64)
+    if work is None:
+        work = _Workspace(m, count)
+    idx = work.idx[:count]
+    coords = work.coords[:, :count]
+    keep = work.keep[:count]
+    test = work.test[:count]
+    np.add(work.base[:count], g0, out=idx)
     for axis in range(m - 1, -1, -1):
-        coords[:, axis] = idx % shape[axis] + lo[axis]
-        idx //= shape[axis]
-    keep = np.ones(count, dtype=np.bool_)
-    n_emb = embed.shape[0]
-    for s in range(n_emb):
-        acc = np.zeros(count, dtype=np.float64)
-        for axis in range(m):
-            acc += coords[:, axis] * embed[s, axis]
-        keep &= acc >= emb_lo[s] - margin[s]
-        keep &= acc <= emb_hi[s] + margin[s]
+        np.divmod(idx, shape[axis], out=(idx, coords[axis]))
+        np.add(coords[axis], lo[axis], out=coords[axis])
+    keep.fill(True)
+    acc = work.acc[:count]
+    term = work.term[:count]
+    for s in range(embed.shape[0]):
+        # acc = ((0 + c_0 e_0) + c_1 e_1) + ...: the reference loop's order.
+        np.multiply(coords[0], embed[s, 0], out=acc)
+        for axis in range(1, m):
+            np.multiply(coords[axis], embed[s, axis], out=term)
+            np.add(acc, term, out=acc)
+        np.greater_equal(acc, emb_lo[s] - margin[s], out=test)
+        np.logical_and(keep, test, out=keep)
+        np.less_equal(acc, emb_hi[s] + margin[s], out=test)
+        np.logical_and(keep, test, out=keep)
     if ell_bound >= 0:
-        q = np.zeros(count, dtype=np.int64)
+        q = work.q[:count]
+        sq = idx  # the flat index is spent; reuse its buffer
+        q.fill(0)
         for axis in range(m):
-            q += coords[:, axis] * coords[:, axis] * ell_coeffs[axis]
-        keep &= q <= ell_bound
-    if skip_zero:
-        keep &= np.any(coords != 0, axis=1)
-    return coords[keep]
+            np.multiply(coords[axis], coords[axis], out=sq)
+            np.multiply(sq, ell_coeffs[axis], out=sq)
+            np.add(q, sq, out=q)
+        np.less_equal(q, ell_bound, out=test)
+        np.logical_and(keep, test, out=keep)
+    if skip_zero and np.all(lo <= 0) and np.all(lo + shape > 0):
+        # The origin is one point of the box; drop it by its flat index.
+        origin = 0
+        for axis in range(m):
+            origin = origin * int(shape[axis]) - int(lo[axis])
+        if g0 <= origin < g1:
+            keep[origin - g0] = False
+    return np.ascontiguousarray(coords[:, keep].T)
 
 
 def _scan_chunk_python(lo, shape, g0, g1, embed, emb_lo, emb_hi, margin,
@@ -175,6 +220,7 @@ def scan_box(job: BoxScan, *, budget: int | None = None, chunk: int = CHUNK):
         worst = int(np.max(np.abs(np.stack([job.lo, job.hi]))) ** 2) * int(np.sum(ell))
         if worst > (1 << 62):
             raise OverflowError("ellipsoid accumulator would overflow int64")
+    work = _Workspace(lo.shape[0], min(chunk, limit)) if backend == "numpy" else None
     g0 = 0
     while g0 < limit:
         g1 = min(g0 + chunk, limit)
@@ -183,7 +229,7 @@ def scan_box(job: BoxScan, *, budget: int | None = None, chunk: int = CHUNK):
                                        margin, ell, job.ell_bound, job.skip_zero)
         else:
             coords = _scan_chunk_numpy(lo, shape, g0, g1, embed, emb_lo, emb_hi,
-                                       margin, ell, job.ell_bound, job.skip_zero)
+                                       margin, ell, job.ell_bound, job.skip_zero, work)
         yield coords, g1 - g0
         g0 = g1
 

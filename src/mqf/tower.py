@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Mapping
 
-from .certifier import Certificate, WitnessSet, certify_witness_set
+from .certifier import DEFAULT_PAIR_BUDGET, Certificate, WitnessSet, certify_witness_set
 from .cf import search_witnesses
 from .errors import (
     BaseWitnessNotFoundError,
@@ -204,7 +204,7 @@ class Tower:
 
 def build_tower(D: int, N: int, k: int, *, offsets: list[int] | None = None,
                 trace_bound: int = DEFAULT_TRACE_BOUND,
-                pair_budget: int | None = None,
+                pair_budget: int = DEFAULT_PAIR_BUDGET,
                 deep_verify: bool = False,
                 base: WitnessSet | None = None) -> Tower:
     """Compose base search and k-1 extension rounds into a tower of degree 2^k.
@@ -220,10 +220,9 @@ def build_tower(D: int, N: int, k: int, *, offsets: list[int] | None = None,
     offsets += [0] * (k - 1 - len(offsets))
     if len(offsets) > k - 1:
         raise ValueError(f"too many offsets for a k={k} tower")
-    kwargs = {} if pair_budget is None else {"pair_budget": pair_budget}
     if base is None:
         try:
-            base = search_witnesses(D, N, trace_bound, **kwargs)
+            base = search_witnesses(D, N, trace_bound, pair_budget=pair_budget)
         except WitnessNotFoundError as exc:
             raise BaseWitnessNotFoundError(str(exc), budget_limited=exc.budget_limited)
     assert base.certificate is not None
@@ -235,7 +234,7 @@ def build_tower(D: int, N: int, k: int, *, offsets: list[int] | None = None,
         steps.append(step)
     top_cert = None
     if deep_verify and k > 1:
-        top_cert = certify_witness_set(current, **kwargs)
+        top_cert = certify_witness_set(current, budget=pair_budget)
         current = WitnessSet(current.field, current.elements, top_cert)
     return Tower(
         base_d=D,

@@ -111,6 +111,34 @@ def test_pool_closed_under_conjugation():
             assert x.conjugate(1) in as_set
 
 
+def _oracle_pool(D, trace_bound):
+    """Every totally positive x = (n0 + n1 sqrt(D))/2 in O_K with trace
+    n0 <= trace_bound that the exhaustive oracle calls indecomposable,
+    ordered by (n0, n1)."""
+    field = make_field([D])
+    out = []
+    for n0 in range(1, trace_bound + 1):
+        reach = isqrt(n0 * n0 // D)
+        for n1 in range(-reach, reach + 1):
+            # x is integral iff n0, n1 are both even, or both odd when D = 1 mod 4
+            if (n0 - n1) % 2 or (n0 % 2 and D % 4 != 1):
+                continue
+            if n0 * n0 <= D * n1 * n1:
+                continue
+            x = field.from_scaled([n0, n1], 2)
+            if exhaustive_indecomposable(x).verdict.is_indecomposable:
+                out.append(x)
+    return out
+
+
+def test_pool_equals_oracle_pool_for_small_d():
+    # semiconvergents against the definition, both residue classes mod 4
+    ds = [d for d in range(2, 201) if is_squarefree(d) and isqrt(d) ** 2 != d]
+    assert {d % 4 for d in ds} == {1, 2, 3}
+    for d in ds:
+        assert quadratic_candidates(cf_expand(d), 80) == _oracle_pool(d, 80), d
+
+
 def test_pool_members_are_oracle_indecomposable():
     pool = quadratic_candidates(cf_expand(19), 30)
     assert pool, "pool should not be empty"

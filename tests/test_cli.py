@@ -168,6 +168,34 @@ def test_cli_tower_and_verify(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_tower_deep_verify(tmp_path, capsys):
+    tfile = tmp_path / "tower.json"
+    assert run_cli("tower", "--D", "15", "--N", "2", "--k", "2", "--deep-verify",
+                   "--out", str(tfile)) == 0
+    capsys.readouterr()
+    data = json.loads(tfile.read_text())
+    assert data["top_certificate"]["conclusion"] == {"m_lower_bound": 2}
+    assert run_cli("verify", str(tfile)) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["cf", "--D", "19", "--convergents", "-1"], {}),
+    (["witness", "--N", "0", "--D", "15"], {}),
+    (["tower", "--D", "55", "--N", "3", "--k", "0"], {}),
+    (["witness", "--N", "2", "--D", "15"], {"MQF_BUDGET": "abc"}),
+], ids=["convergents", "N", "k", "MQF_BUDGET"])
+def test_cli_bad_input_exit_3(argv, env, monkeypatch):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    out = subprocess.run([sys.executable, "-m", "mqf.cli", *argv],
+                         capture_output=True, text=True)
+    assert out.returncode == 3
+    assert "Traceback" not in out.stderr
+    assert len(out.stderr.strip().splitlines()) == 1
+    assert "positive integer" in out.stderr
+
+
 def test_cli_budget_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MQF_BUDGET", "10")
     # certification of (1,1)-style fat pair in Q(sqrt 2) cannot finish in 10 points

@@ -13,6 +13,7 @@ from mqf.kernels import (
     backend_name,
     collect_survivors,
     embedding_margin,
+    scan_box,
 )
 
 
@@ -113,6 +114,25 @@ def test_odometer_order_and_chunking(monkeypatch):
     small, n_small = collect_survivors(job, chunk=7)
     assert n_full == n_small
     assert np.array_equal(full, small)
+
+
+@pytest.mark.parametrize("emb_lo, emb_hi", [(0.0, 4.0), (16.0, 20.0)],
+                         ids=["survivors-first", "survivors-last"])
+def test_workspace_reuse_across_chunks(emb_lo, emb_hi):
+    # 105 points in chunks of 30, 30, 30 and 15: the last chunk is shorter
+    # than the workspace, and survivors sit in the first or the last chunk
+    # only, so a buffer that kept a value from the chunk before would show.
+    job = _job([0, -2], [20, 2], [[1.0, 0.0]], [emb_lo], [emb_hi])
+    chunks = [(len(coords), n) for coords, n in scan_box(job, chunk=30)]
+    assert [n for _, n in chunks] == [30, 30, 30, 15]
+    found = [k > 0 for k, _ in chunks]
+    assert found == ([True, False, False, False] if emb_lo == 0.0
+                     else [False, False, True, True])
+    want, n_want = collect_survivors(job, chunk=7)
+    got, n_got = collect_survivors(job, chunk=30)
+    assert n_got == n_want == 105
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert [tuple(int(v) for v in row) for row in got] == _reference_scan(job)
 
 
 def test_budget_truncates_scan():
