@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Benchmark the lattice-scan kernel: numba JIT path vs pure-numpy fallback.
+"""Benchmark the lattice-scan kernel: numba box scan vs numpy region scan.
 
 The workload is the real certifier region for a witness pair in Q(sqrt(D)),
 scaled up by widening the trace of the pair, plus a biquadratic positivity
-scan.  Both backends run the same chunks in the same order and must return
-identical survivors; the numbers below are points/second for the scan stage
+scan.  The backends do not run the same chunks: numba tests every point of
+the coordinate box, numpy only the per-prefix intervals that can hold a
+survivor.  Both must return identical survivors and cover the same box
+points, so the rate below is effective box points/second for the scan stage
 only (exact confirmation is shared and excluded).
 
 Run:  python benchmarks/bench_kernels.py [--repeat 3]
@@ -71,7 +73,7 @@ def main() -> None:
             results[backend] = best
             survivors[backend] = best[2]
             rate = best[1] / best[0] if best[0] else float("inf")
-            print(f"{backend:>6}: {best[0]*1e3:8.1f} ms   {rate/1e6:8.1f} M points/s   "
+            print(f"{backend:>6}: {best[0]*1e3:8.1f} ms   {rate/1e6:8.1f} M box points/s   "
                   f"{best[2]} survivors")
         if len(backends) == 2:
             speedup = results["numpy"][0] / results["numba"][0]

@@ -22,20 +22,18 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
 from math import isqrt
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import BudgetExceededError, FieldMismatchError, MqfError
-from .fields import FieldElement, MultiquadField, make_field
+from .fields import FieldElement, MultiquadField, json_object, json_value, make_field
 from .indecomposables import require_totally_positive_integer
 from .integers import is_algebraic_integer, superset_lattice_box
 from .kernels import scan_box
 
 DEFAULT_PAIR_BUDGET = 10**8
-UNPRUNED_POINT_CAP = 4 * 10**6
 
 
 def sqrt_upper(value: Fraction) -> Fraction:
@@ -100,27 +98,48 @@ class Certificate:
 
     @staticmethod
     def from_json(data: Mapping) -> Certificate:
+        """Parse what ``to_json`` writes; any other shape or type raises
+        MalformedPayloadError before anything is recomputed."""
+        data = json_object(data, _CERTIFICATE_KEYS, "certificate")
         field = MultiquadField.from_json(data["field"])
-        witnesses = tuple(field.element_from_json(w) for w in data["witnesses"])
-        pairs = tuple(
-            PairVerdict(
-                i=int(p["i"]),
-                j=int(p["j"]),
-                holds=bool(p["holds"]),
-                violating_c=(field.element_from_json(p["c"]) if p["c"] is not None else None),
-                points_scanned=int(p["scanned"]),
-                near_misses=int(p.get("near_misses", 0)),
-            )
-            for p in data["pairs"]
-        )
-        conclusion = data.get("conclusion")
+        witnesses = tuple(field.element_from_json(w) for w in
+                          json_value(data["witnesses"], list, "certificate witnesses"))
+        pairs = tuple(_pair_from_json(field, p) for p in
+                      json_value(data["pairs"], list, "certificate pairs"))
+        lattice = json_object(data["lattice"], ("denominator", "kind"), "certificate lattice")
+        json_value(lattice["kind"], str, "lattice kind")
+        json_value(lattice["denominator"], int, "lattice denominator")
+        json_value(data["pair_condition"], str, "certificate pair_condition")
+        conclusion = data["conclusion"]
+        if conclusion is not None:
+            conclusion = json_value(
+                json_object(conclusion, ("m_lower_bound",), "certificate conclusion")
+                ["m_lower_bound"], int, "m_lower_bound")
         return Certificate(
             field=field,
             witnesses=witnesses,
             pairs=pairs,
-            pair_budget=int(data["pair_budget"]),
-            conclusion=None if conclusion is None else int(conclusion["m_lower_bound"]),
+            pair_budget=json_value(data["pair_budget"], int, "pair_budget", minimum=1),
+            conclusion=conclusion,
         )
+
+
+_CERTIFICATE_KEYS = ("conclusion", "field", "lattice", "pair_budget", "pair_condition",
+                     "pairs", "witnesses")
+_PAIR_KEYS = ("c", "holds", "i", "j", "near_misses", "scanned")
+
+
+def _pair_from_json(field: MultiquadField, data) -> PairVerdict:
+    data = json_object(data, _PAIR_KEYS, "pair")
+    c = data["c"]
+    return PairVerdict(
+        i=json_value(data["i"], int, "pair i", minimum=0),
+        j=json_value(data["j"], int, "pair j", minimum=0),
+        holds=json_value(data["holds"], bool, "pair holds"),
+        violating_c=None if c is None else field.element_from_json(c),
+        points_scanned=json_value(data["scanned"], int, "pair scanned", minimum=0),
+        near_misses=json_value(data["near_misses"], int, "pair near_misses", minimum=0),
+    )
 
 
 @dataclass(frozen=True)
@@ -145,11 +164,13 @@ class WitnessSet:
 
     @staticmethod
     def from_json(data: Mapping) -> WitnessSet:
+        data = json_object(data, ("certificate", "elements", "field"), "witness set")
         field = MultiquadField.from_json(data["field"])
-        elements = tuple(field.element_from_json(e) for e in data["elements"])
-        cert = data.get("certificate")
+        elements = tuple(field.element_from_json(e) for e in
+                         json_value(data["elements"], list, "witness set elements"))
+        cert = data["certificate"]
         return WitnessSet(field, elements,
-                          Certificate.from_json(cert) if cert else None)
+                          None if cert is None else Certificate.from_json(cert))
 
 
 def _pair_region(a: FieldElement, b: FieldElement):
@@ -240,35 +261,6 @@ def pair_condition_certify(a: FieldElement, b: FieldElement, *, i: int = 0, j: i
     return verdict
 
 
-def enumerate_violations_unpruned(a: FieldElement, b: FieldElement):
-    """Slow independent oracle: same embedding box, no ellipsoid, no prefilter.
-
-    Pure rational arithmetic over every nonzero point; only meant for small
-    boxes (tests and spot checks).  Returns (violations, near_misses).
-    """
-    if a.field != b.field:
-        raise FieldMismatchError("pair elements live in different fields")
-    field = a.field
-    box, _, _ = _pair_region(a, b)
-    if box.total_points() > UNPRUNED_POINT_CAP:
-        raise BudgetExceededError(0, box.total_points(), "unpruned enumeration")
-    fourab = a * b * 4
-    violations = []
-    near = 0
-    ranges = [range(-m, m + 1) for m in box.scaled_bounds]
-    for coords in iter_product(*ranges):
-        if not any(coords):
-            continue
-        c = box.element(coords)
-        diff = fourab - c * c
-        if all(diff.sign_at(s) >= 0 for s in range(field.degree)):
-            if is_algebraic_integer(c):
-                violations.append(c)
-            else:
-                near += 1
-    return violations, near
-
-
 def _certify_pair_worker(args):
     primes, a_json, b_json, i, j, budget = args
     field = make_field(list(primes))
@@ -344,10 +336,10 @@ def verify_certificate(data: Mapping, *, jobs: int = 1) -> list[str]:
     """
     problems: list[str] = []
     cert = Certificate.from_json(data)
-    lattice = data.get("lattice", {})
-    if lattice.get("kind") != "superset" or int(lattice.get("denominator", 0)) != 1 << cert.field.k:
+    lattice = data["lattice"]
+    if lattice["kind"] != "superset" or lattice["denominator"] != 1 << cert.field.k:
         problems.append("lattice description does not match the field")
-    if data.get("pair_condition") != "i<j":
+    if data["pair_condition"] != "i<j":
         problems.append("unexpected pair condition")
     for w in cert.witnesses:
         try:

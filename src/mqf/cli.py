@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import certifier, cf, expr, indecomposables, tower
 from .certifier import WitnessSet, dumps_canonical
-from .errors import BudgetExceededError, MqfError, WitnessNotFoundError
+from .errors import BudgetExceededError, MalformedPayloadError, MqfError, WitnessNotFoundError
 from .fields import make_field
 from .kernels import backend_name
 
@@ -159,9 +159,15 @@ def cmd_witness(args) -> int:
     return EXIT_OK
 
 
+def _read_json(path: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:  # bad JSON, bad UTF-8, an integer too long to read
+        raise MalformedPayloadError(f"{path}: not a JSON artifact: {exc}")
+
+
 def cmd_certify(args) -> int:
-    data = json.loads(Path(args.input).read_text())
-    ws = WitnessSet.from_json(data)
+    ws = WitnessSet.from_json(_read_json(args.input))
     cert = certifier.certify_witness_set(
         ws, budget=_budget(args, certifier.DEFAULT_PAIR_BUDGET), jobs=args.jobs)
     certified = WitnessSet(ws.field, ws.elements, cert)
@@ -198,8 +204,10 @@ def cmd_tower(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    data = json.loads(Path(args.input).read_text())
+    data = _read_json(args.input)
     jobs = args.jobs
+    if not isinstance(data, dict):
+        raise MalformedPayloadError("expected a JSON object: a certificate, tower, or witness set")
     if "steps" in data:
         problems = tower.verify_tower(data, jobs=jobs)
         kind = "tower"
@@ -215,7 +223,9 @@ def cmd_verify(args) -> int:
                 indecomposables.require_totally_positive_integer(e, "element")
             except MqfError as exc:
                 problems.append(str(exc))
-        if ws.certificate is not None:
+        if ws.certificate is None:
+            problems.append("the witness set carries no certificate")
+        else:
             if tuple(ws.certificate.witnesses) != tuple(ws.elements):
                 problems.append("certificate witnesses differ from the element list")
             problems += certifier.verify_certificate(data["certificate"], jobs=jobs)
@@ -345,7 +355,7 @@ def main(argv: list[str] | None = None) -> int:
         suffix = " (budget-limited)" if exc.budget_limited else ""
         print(f"not found: {exc}{suffix}", file=sys.stderr)
         return EXIT_FALSE
-    except (MqfError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+    except (MqfError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -31,6 +31,10 @@ class PairwiseCoprimeError(MqfError):
     """k >= 3 towers require pairwise coprime generators."""
 
 
+class FieldTooLargeError(MqfError):
+    """More generators than ``fields.MAX_K`` allows."""
+
+
 class FieldMismatchError(MqfError):
     """Operands belong to different fields."""
 
@@ -61,6 +65,10 @@ class PerfectSquareError(MqfError):
 
 class BackendUnavailableError(MqfError, RuntimeError):
     """The scan-kernel backend that MQF_JIT asks for cannot be loaded."""
+
+
+class ScanOverflowError(MqfError, OverflowError):
+    """A scan's coordinates are too large for the kernel's int64 arithmetic."""
 
 
 class BudgetExceededError(MqfError):
@@ -94,6 +102,10 @@ class BaseWitnessNotFoundError(WitnessNotFoundError):
 
 class DegeneratePartError(MqfError):
     """c = u + v*sqrt(q) was required to have both parts nonzero."""
+
+
+class MalformedPayloadError(MqfError):
+    """A JSON artifact does not have the shape or the types that mqf writes."""
 
 
 class ExprError(MqfError):

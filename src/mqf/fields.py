@@ -10,6 +10,7 @@ decision path.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
@@ -21,6 +22,8 @@ from .errors import (
     DegenerateFieldError,
     EmptyPrimeListError,
     FieldMismatchError,
+    FieldTooLargeError,
+    MalformedPayloadError,
     NonRationalCoefficientError,
     NonRationalNormError,
     NotSquarefreeError,
@@ -28,6 +31,29 @@ from .errors import (
 )
 
 RationalLike = int | Fraction
+
+# The most generators a field may have: the product table has 4^k entries and
+# every exact sign walks 2^k embeddings.  Every field a command builds stays
+# within it, and so does every field read from a JSON artifact.
+MAX_K = 8
+
+_RATIONAL = re.compile(r"-?[1-9][0-9]*/[1-9][0-9]*")
+
+
+def json_object(data, keys: tuple[str, ...], what: str) -> dict:
+    """``data`` if it is a JSON object with exactly ``keys``."""
+    if not isinstance(data, dict) or set(data) != set(keys):
+        raise MalformedPayloadError(f"{what}: expected an object with keys {sorted(keys)}")
+    return data
+
+
+def json_value(value, kind: type, what: str, *, minimum: int | None = None):
+    """``value`` if its JSON type is ``kind`` (a bool is not an int) and, for
+    an int, it is at least ``minimum``."""
+    if type(value) is not kind or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise MalformedPayloadError(f"{what}: expected {kind.__name__}{bound}")
+    return value
 
 
 def squarefree_part(n: int) -> int:
@@ -208,11 +234,30 @@ class MultiquadField:
 
     @staticmethod
     def from_json(data: Mapping) -> MultiquadField:
-        return make_field(list(data["primes"]))
+        primes = json_value(json_object(data, ("primes",), "field")["primes"], list,
+                            "field primes")
+        return make_field([json_value(p, int, "field prime") for p in primes])
 
     def element_from_json(self, data: Mapping) -> FieldElement:
-        coeffs = data["coeffs"]
-        return self.element({int(mask): Fraction(val) for mask, val in coeffs.items()})
+        """Parse what ``FieldElement.to_json`` writes, and nothing else: masks
+        in range, nonzero coefficients as "n/d" in lowest terms."""
+        coeffs = json_value(json_object(data, ("coeffs",), "element")["coeffs"], dict,
+                            "element coeffs")
+        masks = {str(m) for m in range(self.degree)}
+        clean: dict[int, Fraction] = {}
+        for mask, text in coeffs.items():
+            if mask not in masks:
+                raise MalformedPayloadError(f"element coeffs: bad subset mask {mask[:40]!r}")
+            if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
+                raise MalformedPayloadError(f"element coeffs: bad rational {str(text)[:40]!r}")
+            try:
+                value = Fraction(text)
+            except ValueError as exc:  # too many digits for int()
+                raise MalformedPayloadError(f"element coeffs: {exc}")
+            if f"{value.numerator}/{value.denominator}" != text:
+                raise MalformedPayloadError(f"element coeffs: {text[:40]!r} is not in lowest terms")
+            clean[int(mask)] = value
+        return FieldElement(self, clean)
 
 
 def make_field(primes: list[int] | tuple[int, ...]) -> MultiquadField:
@@ -225,6 +270,8 @@ def make_field(primes: list[int] | tuple[int, ...]) -> MultiquadField:
     entries = [int(p) for p in primes]
     if not entries:
         raise EmptyPrimeListError("at least one generator is required")
+    if len(entries) > MAX_K:
+        raise FieldTooLargeError(f"{len(entries)} generators; at most {MAX_K} are supported")
     for p in entries:
         if p < 2:
             raise DegenerateFieldError(f"generator {p} is not a valid radicand (need >= 2)")

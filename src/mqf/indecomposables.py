@@ -136,6 +136,14 @@ def _strict_floor(bound: Fraction) -> int:
     return (bound.numerator - 1) // bound.denominator
 
 
+def _points_through(job, row) -> int:
+    """Box points up to and including ``row`` in odometer order: its flat index + 1."""
+    flat = 0
+    for n, low, extent in zip(row, job.lo, job.shape):
+        flat = flat * int(extent) + int(n) - int(low)
+    return flat + 1
+
+
 def exhaustive_indecomposable(x: FieldElement, budget: int = DEFAULT_ORACLE_BUDGET,
                               *, deterministic: bool = False) -> IndecomposabilityVerdict:
     """Decide decomposability by scanning all candidates 0 < beta < x.
@@ -145,6 +153,12 @@ def exhaustive_indecomposable(x: FieldElement, budget: int = DEFAULT_ORACLE_BUDG
     proves indecomposability.  Candidates are visited in coordinate odometer
     order; in deterministic mode the returned witness is therefore the
     lexicographically smallest one.  In fast mode beta = 1 is probed first.
+
+    ``budget_used`` counts box points in odometer order: through the witness
+    (its flat index + 1) for a DECOMPOSABLE verdict found by the scan, so a
+    rerun with that budget finds the same witness and one with a point less
+    does not; the budget for UNKNOWN; the whole box for an exhausted scan.
+    It does not depend on the kernel's chunking or backend.
     """
     require_totally_positive_integer(x)
     field = x.field
@@ -186,7 +200,8 @@ def exhaustive_indecomposable(x: FieldElement, budget: int = DEFAULT_ORACLE_BUDG
                 continue
             if not (x - beta).is_totally_positive():
                 continue
-            return IndecomposabilityVerdict(x, Verdict.DECOMPOSABLE, beta, scanned)
+            return IndecomposabilityVerdict(x, Verdict.DECOMPOSABLE, beta,
+                                            _points_through(job, row))
     if scanned < total:
         return IndecomposabilityVerdict(x, Verdict.UNKNOWN, None, scanned)
     return IndecomposabilityVerdict(x, Verdict.INDECOMPOSABLE_BY_EXHAUSTION, None, scanned)

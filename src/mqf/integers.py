@@ -19,7 +19,7 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .errors import WrongDegreeError
+from .errors import ScanOverflowError, WrongDegreeError
 from .fields import FieldElement, MultiquadField, _mul_int_dicts
 from .kernels import BoxScan, embedding_margin
 
@@ -281,6 +281,8 @@ class LatticeBox:
                  skip_zero: bool = True) -> BoxScan:
         """Kernel job scanning this box against float embedding intervals."""
         field = self.field
+        if max(self.scaled_bounds) > 1 << 62:
+            raise ScanOverflowError("box coordinates would overflow int64")
         lo = -np.array(self.scaled_bounds, dtype=np.int64)
         hi = np.array(self.scaled_bounds, dtype=np.int64)
         embed = field.embedding_matrix() / self.denominator

@@ -1,4 +1,4 @@
-"""Vectorized lattice-box scan kernels with a numba fast path.
+"""Lattice scan kernels: a numpy region scan and a numba box scan.
 
 The exact modules reduce their hot loops to one primitive: enumerate integer
 coordinate vectors n in a box [lo, hi], keep those whose float64 embedding
@@ -8,18 +8,28 @@ back for exact rational confirmation, so the float filter only ever has to be
 a sound over-approximation: the margin absorbs all rounding error, and
 borderline candidates are resolved exactly by the caller.
 
-The kernel body exists twice with identical arithmetic (same accumulation
-order, so both paths round identically): a numba ``@njit`` version and a pure
-numpy version.  Selection: environment variable ``MQF_JIT`` — ``"1"`` forces
-numba, ``"0"`` forces numpy, unset prefers numba when importable.  Numba
-is optional: ``"1"`` without it raises ``BackendUnavailableError``.
+Two backends give the same survivors in the same (odometer) order, each
+applying the same per-point test with the same float accumulation order
+c_0 e_0 + c_1 e_1 + ..., so both round identically.  Selection: environment
+variable ``MQF_JIT`` — ``"1"`` forces numba, ``"0"`` forces numpy, unset
+prefers numba when importable.  Numba is optional: ``"1"`` without it raises
+``BackendUnavailableError``.
 
-The numpy version works in a ``_Workspace`` that ``scan_box`` allocates once
-per scan, sized to one chunk or to the whole scan when that is smaller: the
-coordinates (column-major), the flat index, the accumulators and the masks.
-Each chunk writes into it through ``out=`` ufuncs, so no chunk-sized array is
-allocated per chunk; only the survivor rows are fresh arrays.  The workspace
-belongs to the scan and is freed when the scan ends.
+* numba compiles ``_scan_chunk_python``, a loop over every point of a range of
+  the flattened box index.
+* numpy enumerates the region instead of the box, in the style of
+  Fincke–Pohst: for each prefix (n_0, ..., n_{m-2}) it bounds the last
+  coordinate by the interval that can hold a survivor — from each embedding
+  window (the value is linear in n_{m-1}), from the exact ellipsoid and from
+  the box — and runs the per-point test on that interval only.  The
+  float-derived ends are widened by ``SLACK`` so that the interval is a
+  superset of the points the test accepts (the argument is in
+  ``scan_box``); the survivors are therefore bit-identical to the box scan's.
+
+``scan_box`` yields (survivor rows, box points covered).  numba covers
+``chunk`` flat indices per yield; numpy covers floor(chunk / w) whole prefixes
+(at least one), where w is the extent of the last axis, so a caller that stops
+early stops after about one chunk of the box on either backend.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BackendUnavailableError
+from .errors import BackendUnavailableError, ScanOverflowError
 
 try:
     import numba
@@ -37,6 +47,7 @@ except ImportError:  # pragma: no cover - exercised only without numba installed
     numba = None
 
 CHUNK = 1 << 16
+SLACK = 2  # integer widening of the float-derived ends of a numpy interval
 
 
 def backend_name() -> str:
@@ -79,74 +90,10 @@ class BoxScan:
         return int(np.prod(self.shape.astype(object)))
 
 
-class _Workspace:
-    """Buffers for numpy chunks of up to ``size`` points in ``m`` dimensions.
-
-    Coordinates are stored column-major, one contiguous row per axis, so every
-    ufunc below runs on contiguous memory and writes through ``out=``.
-    """
-
-    def __init__(self, m: int, size: int):
-        self.base = np.arange(size, dtype=np.int64)
-        self.idx = np.empty(size, dtype=np.int64)
-        self.coords = np.empty((m, size), dtype=np.int64)
-        self.acc = np.empty(size, dtype=np.float64)
-        self.term = np.empty(size, dtype=np.float64)
-        self.q = np.empty(size, dtype=np.int64)
-        self.keep = np.empty(size, dtype=np.bool_)
-        self.test = np.empty(size, dtype=np.bool_)
-
-
-def _scan_chunk_numpy(lo, shape, g0, g1, embed, emb_lo, emb_hi, margin,
-                      ell_coeffs, ell_bound, skip_zero, work=None):
-    count = g1 - g0
-    m = lo.shape[0]
-    if work is None:
-        work = _Workspace(m, count)
-    idx = work.idx[:count]
-    coords = work.coords[:, :count]
-    keep = work.keep[:count]
-    test = work.test[:count]
-    np.add(work.base[:count], g0, out=idx)
-    for axis in range(m - 1, -1, -1):
-        np.divmod(idx, shape[axis], out=(idx, coords[axis]))
-        np.add(coords[axis], lo[axis], out=coords[axis])
-    keep.fill(True)
-    acc = work.acc[:count]
-    term = work.term[:count]
-    for s in range(embed.shape[0]):
-        # acc = ((0 + c_0 e_0) + c_1 e_1) + ...: the reference loop's order.
-        np.multiply(coords[0], embed[s, 0], out=acc)
-        for axis in range(1, m):
-            np.multiply(coords[axis], embed[s, axis], out=term)
-            np.add(acc, term, out=acc)
-        np.greater_equal(acc, emb_lo[s] - margin[s], out=test)
-        np.logical_and(keep, test, out=keep)
-        np.less_equal(acc, emb_hi[s] + margin[s], out=test)
-        np.logical_and(keep, test, out=keep)
-    if ell_bound >= 0:
-        q = work.q[:count]
-        sq = idx  # the flat index is spent; reuse its buffer
-        q.fill(0)
-        for axis in range(m):
-            np.multiply(coords[axis], coords[axis], out=sq)
-            np.multiply(sq, ell_coeffs[axis], out=sq)
-            np.add(q, sq, out=q)
-        np.less_equal(q, ell_bound, out=test)
-        np.logical_and(keep, test, out=keep)
-    if skip_zero and np.all(lo <= 0) and np.all(lo + shape > 0):
-        # The origin is one point of the box; drop it by its flat index.
-        origin = 0
-        for axis in range(m):
-            origin = origin * int(shape[axis]) - int(lo[axis])
-        if g0 <= origin < g1:
-            keep[origin - g0] = False
-    return np.ascontiguousarray(coords[:, keep].T)
-
-
 def _scan_chunk_python(lo, shape, g0, g1, embed, emb_lo, emb_hi, margin,
                        ell_coeffs, ell_bound, skip_zero):
-    # Reference loop; numba compiles this body, numpy path mirrors it exactly.
+    # Reference loop over a flat index range; numba compiles this body, and
+    # the numpy region scan applies the same per-point test.
     m = lo.shape[0]
     n_emb = embed.shape[0]
     out = np.empty((g1 - g0, m), dtype=np.int64)
@@ -197,11 +144,33 @@ if numba is not None:
 
 
 def scan_box(job: BoxScan, *, budget: int | None = None, chunk: int = CHUNK):
-    """Yield (survivor_coords, points_in_chunk) in global odometer order.
+    """Yield (survivor_coords, points_covered) in global odometer order.
 
-    Chunks are ranges of the flattened index, so iteration order and point
-    counts are identical for both backends.  Stops after ``budget`` points
-    when given; the caller decides what a truncated scan means.
+    Survivors are the box points with flat index below min(total, budget)
+    that pass the per-point test, identical on both backends; the covered
+    counts sum to that limit.  The caller decides what a truncated scan
+    means.
+
+    Soundness of the numpy intervals.  For a prefix whose float partial sum
+    is A (the value the per-point test holds before adding its last term)
+    and a last-axis coefficient e != 0, the test accepts n_{m-1} = n iff
+    L <= fl(A + fl(n e)) <= U, with L = emb_lo - margin and U = emb_hi +
+    margin as it computes them.  Each rounding has relative error at most
+    u = 2^-53, so an accepted n lies within u(|A|/|e| + 2|n|)(1 + u) of the
+    real interval [(L - A)/e, (U - A)/e] (ends swapped when e < 0), and the
+    computed ends fl(fl(L - A)/e), fl(fl(U - A)/e) are within 2u(|A| +
+    bound)/|e| (1 + 3u) of the real ones, where bound = max(|L|, |U|).  With
+    |A| <= reach (the sum of |e_i| max|n_i| over the prefix axes) and |n| <= R
+    (the box's largest |coordinate|), both errors together stay below
+    3u((reach + bound)/|e| + R)(1 + 3u) < 1/8 whenever (reach + bound)/|e| +
+    R <= 2^48, so every
+    accepted n lies in [ceil(lower) - SLACK, floor(upper) + SLACK].  An
+    embedding that fails that condition gives no cut; the per-point test
+    still decides.  With e = 0 the value is A for every n, so the prefix is
+    kept or dropped whole by the test's own comparison.  The ellipsoid end
+    floor(sqrt(rem // ell_last)) is a float square root of an integer below
+    2^62 (the guard below), whose error is far below 1, so + SLACK encloses
+    the exact isqrt.
     """
     total = job.total_points()
     limit = total if budget is None else min(total, budget)
@@ -215,23 +184,115 @@ def scan_box(job: BoxScan, *, budget: int | None = None, chunk: int = CHUNK):
     emb_hi = job.emb_hi.astype(np.float64)
     margin = job.margin.astype(np.float64)
     ell = job.ell_coeffs.astype(np.int64)
-    # int64 safety for the exact ellipsoid accumulator.
-    if job.ell_bound >= 0:
+    # int64 safety for the exact ellipsoid accumulator.  No point's form
+    # exceeds ``worst``, so a larger bound is lowered to it: same test, and it
+    # fits in int64 too.
+    ell_bound = job.ell_bound
+    if ell_bound >= 0:
         worst = int(np.max(np.abs(np.stack([job.lo, job.hi]))) ** 2) * int(np.sum(ell))
         if worst > (1 << 62):
-            raise OverflowError("ellipsoid accumulator would overflow int64")
-    work = _Workspace(lo.shape[0], min(chunk, limit)) if backend == "numpy" else None
-    g0 = 0
-    while g0 < limit:
-        g1 = min(g0 + chunk, limit)
-        if backend == "numba":
+            raise ScanOverflowError("ellipsoid accumulator would overflow int64")
+        ell_bound = min(ell_bound, worst)
+    if backend == "numba":
+        g0 = 0
+        while g0 < limit:
+            g1 = min(g0 + chunk, limit)
             coords = _scan_chunk_numba(lo, shape, g0, g1, embed, emb_lo, emb_hi,
-                                       margin, ell, job.ell_bound, job.skip_zero)
-        else:
-            coords = _scan_chunk_numpy(lo, shape, g0, g1, embed, emb_lo, emb_hi,
-                                       margin, ell, job.ell_bound, job.skip_zero, work)
-        yield coords, g1 - g0
-        g0 = g1
+                                       margin, ell, ell_bound, job.skip_zero)
+            yield coords, g1 - g0
+            g0 = g1
+        return
+    yield from _scan_region(lo, shape, embed, emb_lo - margin, emb_hi + margin,
+                            ell, ell_bound, job.skip_zero, limit, chunk)
+
+
+def _scan_region(lo, shape, embed, low, high, ell, ell_bound, skip_zero, limit, chunk):
+    # The numpy backend of scan_box: per-prefix last-axis intervals, then the
+    # per-point test on the candidates they hold.
+    m = lo.shape[0]
+    last = m - 1
+    w = int(shape[last])
+    lo_last = int(lo[last])
+    hi_last = lo_last + w - 1
+    n_prefix = -(-limit // w)  # the last one may be clipped by the budget
+    per = max(1, chunk // w)
+    e_last = embed[:, last]
+    radius = np.maximum(np.abs(lo), np.abs(lo + shape - 1)).astype(np.float64)
+    reach = np.abs(embed[:, :last]) @ radius[:last]
+    bound = np.maximum(np.abs(low), np.abs(high))
+    with np.errstate(divide="ignore"):
+        cuts = (reach + bound) / np.abs(e_last) + radius.max() <= 2.0 ** 48
+    origin = -1  # flat index of the origin's prefix when skip_zero drops it
+    if skip_zero and np.all(lo <= 0) and np.all(lo + shape > 0):
+        origin = 0
+        for axis in range(last):
+            origin = origin * int(shape[axis]) - int(lo[axis])
+    p0 = 0
+    while p0 < n_prefix:
+        p1 = min(p0 + per, n_prefix)
+        count = p1 - p0
+        prefix = np.empty((last, count), dtype=np.int64)
+        idx = np.arange(p0, p1, dtype=np.int64)
+        for axis in range(last - 1, -1, -1):
+            idx, prefix[axis] = np.divmod(idx, shape[axis])
+            prefix[axis] += lo[axis]
+        n_lo = np.full(count, lo_last, dtype=np.int64)
+        n_hi = np.full(count, hi_last, dtype=np.int64)
+        if p1 == n_prefix:
+            n_hi[-1] = lo_last + (limit - (n_prefix - 1) * w) - 1
+        alive = np.ones(count, dtype=np.bool_)
+        partial = np.zeros((embed.shape[0], count), dtype=np.float64)
+        for s in range(embed.shape[0]):
+            if last:
+                # acc = ((c_0 e_0) + c_1 e_1) + ...: the per-point order.
+                acc = prefix[0] * embed[s, 0]
+                for axis in range(1, last):
+                    acc += prefix[axis] * embed[s, axis]
+                partial[s] = acc
+            e = e_last[s]
+            if e == 0.0:
+                alive &= (partial[s] >= low[s]) & (partial[s] <= high[s])
+            elif cuts[s]:
+                a = (low[s] - partial[s]) / e
+                b = (high[s] - partial[s]) / e
+                if e < 0.0:
+                    a, b = b, a
+                a = np.clip(np.ceil(a), lo_last - 1, hi_last + 1).astype(np.int64)
+                b = np.clip(np.floor(b), lo_last - 1, hi_last + 1).astype(np.int64)
+                np.maximum(n_lo, a - SLACK, out=n_lo)
+                np.minimum(n_hi, b + SLACK, out=n_hi)
+        if ell_bound >= 0:
+            q_prefix = np.zeros(count, dtype=np.int64)
+            for axis in range(last):
+                q_prefix += prefix[axis] * prefix[axis] * ell[axis]
+            rem = ell_bound - q_prefix
+            alive &= rem >= 0
+            if ell[last] > 0:
+                root = np.floor(np.sqrt(np.maximum(rem, 0) // ell[last]))
+                root = root.astype(np.int64) + SLACK
+                np.maximum(n_lo, -root, out=n_lo)
+                np.minimum(n_hi, root, out=n_hi)
+        counts = np.where(alive, np.maximum(n_hi - n_lo + 1, 0), 0)
+        covered = min(p1 * w, limit) - p0 * w
+        n_cand = int(counts.sum())
+        rep = np.repeat(np.arange(count), counts)
+        starts = np.cumsum(counts) - counts
+        last_coord = np.arange(n_cand, dtype=np.int64) + np.repeat(n_lo - starts, counts)
+        keep = np.ones(n_cand, dtype=np.bool_)
+        for s in range(embed.shape[0]):
+            acc = partial[s][rep] + last_coord * e_last[s]
+            keep &= (acc >= low[s]) & (acc <= high[s])
+        if ell_bound >= 0:
+            q = q_prefix[rep] + last_coord * last_coord * ell[last]
+            keep &= q <= ell_bound
+        j = origin - p0
+        if 0 <= j < count and counts[j] and n_lo[j] <= 0 <= n_hi[j]:
+            keep[starts[j] - n_lo[j]] = False
+        rows = np.empty((int(keep.sum()), m), dtype=np.int64)
+        rows[:, :last] = prefix[:, rep[keep]].T
+        rows[:, last] = last_coord[keep]
+        yield rows, covered
+        p0 = p1
 
 
 def collect_survivors(job: BoxScan, *, budget: int | None = None,

@@ -23,15 +23,8 @@ from typing import Mapping
 
 from .certifier import DEFAULT_PAIR_BUDGET, Certificate, WitnessSet, certify_witness_set
 from .cf import search_witnesses
-from .errors import (
-    BaseWitnessNotFoundError,
-    DegeneratePartError,
-    MqfError,
-    NotIntegralError,
-    WitnessNotFoundError,
-)
-from .fields import FieldElement, MultiquadField, make_field, is_squarefree
-from .integers import is_algebraic_integer
+from .errors import BaseWitnessNotFoundError, MqfError, WitnessNotFoundError
+from .fields import MultiquadField, is_squarefree, json_object, json_value, make_field
 
 DEFAULT_TRACE_BOUND = 1000
 
@@ -71,13 +64,16 @@ class TowerStep:
 
     @staticmethod
     def from_json(data: Mapping) -> TowerStep:
+        data = json_object(data, ("base_primes", "degree_threshold", "max_pair_trace",
+                                  "offset", "q", "trace_threshold"), "tower step")
         return TowerStep(
-            base_primes=tuple(int(p) for p in data["base_primes"]),
-            chosen_q=int(data["q"]),
-            degree_threshold=int(data["degree_threshold"]),
-            trace_threshold=int(data["trace_threshold"]),
-            max_pair_trace=int(data["max_pair_trace"]),
-            offset=int(data["offset"]),
+            base_primes=tuple(json_value(p, int, "step base prime") for p in
+                              json_value(data["base_primes"], list, "step base_primes")),
+            chosen_q=json_value(data["q"], int, "step q"),
+            degree_threshold=json_value(data["degree_threshold"], int, "step degree_threshold"),
+            trace_threshold=json_value(data["trace_threshold"], int, "step trace_threshold"),
+            max_pair_trace=json_value(data["max_pair_trace"], int, "step max_pair_trace"),
+            offset=json_value(data["offset"], int, "step offset", minimum=0),
         )
 
 
@@ -172,33 +168,43 @@ class Tower:
             "top_certificate": (
                 self.top_certificate.to_json() if self.top_certificate else None
             ),
-            "claim": {
-                "m_lower_bound": self.m_lower_bound,
-                "established_by": (
-                    ["base_certificate", "tower_constraints"]
-                    if self.top_certificate is None
-                    else ["base_certificate", "tower_constraints", "top_certificate"]
-                ),
-            },
+            "claim": self.claim(),
         }
+
+    def claim(self) -> dict:
+        sources = ["base_certificate", "tower_constraints"]
+        if self.top_certificate is not None:
+            sources.append("top_certificate")
+        return {"m_lower_bound": self.m_lower_bound, "established_by": sources}
 
     @staticmethod
     def from_json(data: Mapping) -> Tower:
-        base_cert = Certificate.from_json(data["base"]["certificate"])
-        steps = tuple(TowerStep.from_json(s) for s in data["steps"])
+        """Parse what ``to_json`` writes; any other shape or type raises
+        MalformedPayloadError before anything is recomputed."""
+        data = json_object(data, ("base", "claim", "field", "steps", "top_certificate",
+                                  "witnesses"), "tower")
+        base = json_object(data["base"], ("D", "certificate"), "tower base")
+        base_cert = Certificate.from_json(base["certificate"])
+        steps = tuple(TowerStep.from_json(s) for s in
+                      json_value(data["steps"], list, "tower steps"))
         field = MultiquadField.from_json(data["field"])
         witnesses = WitnessSet(
             field,
-            tuple(field.element_from_json(w) for w in data["witnesses"]),
+            tuple(field.element_from_json(w) for w in
+                  json_value(data["witnesses"], list, "tower witnesses")),
             certificate=None,
         )
-        top = data.get("top_certificate")
+        claim = json_object(data["claim"], ("established_by", "m_lower_bound"), "tower claim")
+        json_value(claim["m_lower_bound"], int, "claim m_lower_bound")
+        for source in json_value(claim["established_by"], list, "claim established_by"):
+            json_value(source, str, "claim source")
+        top = data["top_certificate"]
         return Tower(
-            base_d=int(data["base"]["D"]),
+            base_d=json_value(base["D"], int, "tower base D"),
             base_certificate=base_cert,
             steps=steps,
             witnesses=witnesses,
-            top_certificate=Certificate.from_json(top) if top else None,
+            top_certificate=None if top is None else Certificate.from_json(top),
         )
 
 
@@ -289,64 +295,10 @@ def verify_tower(data: Mapping, *, jobs: int = 1) -> list[str]:
             if dict(base_w.coeffs) != dict(top_w.coeffs):
                 problems.append("lifted witness coefficients differ from the base witnesses")
                 break
-    claim = data.get("claim", {})
-    if int(claim.get("m_lower_bound", -1)) != n:
-        problems.append("claim does not match the witness count")
+    if data["claim"] != tower.claim():
+        problems.append("claim does not match the witness count and the certificates")
     if tower.top_certificate is not None:
         problems += [f"top: {p}" for p in verify_certificate(data["top_certificate"], jobs=jobs)]
         if tuple(tower.top_certificate.witnesses) != tuple(tower.witnesses.elements):
             problems.append("top certificate witnesses differ from the tower witnesses")
     return problems
-
-
-def check_case_c_bound(c: FieldElement) -> bool:
-    """Verify Tr_L(c^2) > sqrt(q) for integral c = u + v*sqrt(q), u, v != 0.
-
-    Property-test harness for the mixed case of the extension argument; not
-    part of the certification path.  Comparison is exact on squares.
-    """
-    field = c.field
-    top = 1 << (field.k - 1)
-    q = field.radicands[top]
-    has_low = any(mask < top and coeff for mask, coeff in c.coeffs.items())
-    has_high = any(mask & top and coeff for mask, coeff in c.coeffs.items())
-    if not has_low or not has_high:
-        raise DegeneratePartError("c = u + v*sqrt(q) needs both u and v nonzero")
-    if not is_algebraic_integer(c):
-        raise NotIntegralError(f"{c!r} is not an algebraic integer")
-    t = (c * c).trace()
-    return t > 0 and t * t > q
-
-
-def split_at_top(c: FieldElement) -> tuple[FieldElement, FieldElement]:
-    """Write c = u + v*sqrt(q) with u, v in the subfield below the top generator.
-
-    Both parts are returned as elements of the subfield K.
-    """
-    field = c.field
-    top = 1 << (field.k - 1)
-    sub = make_field(list(field.primes[:-1]))
-    u: dict[int, Fraction] = {}
-    v: dict[int, Fraction] = {}
-    for mask, coeff in c.coeffs.items():
-        if mask & top:
-            # sqrt(p_mask) = sqrt(p_low)*sqrt(q)/m, so the sqrt(q)-part picks up 1/m.
-            low = mask ^ top
-            v[low] = coeff / field.mult[low][top]
-        else:
-            u[mask] = coeff
-    return sub.element(u), sub.element(v)
-
-
-def case_b_identity_holds(field_k: MultiquadField, q: int, v: FieldElement) -> bool:
-    """Exact check of the squared-pure-part chain for v != 0 in (1/2^(k+1))Z[sqrt(p_I)]:
-
-    Tr_L((v sqrt(q))^2) = 2 q Tr_K(v^2) >= q / 2^(k+1) > sqrt(q).
-    """
-    if not v:
-        raise ValueError("v must be nonzero")
-    k = field_k.k
-    tr_k_v2 = (v * v).trace()
-    lhs = 2 * q * tr_k_v2          # Tr_L(v^2 q) with Tr_L = 2 Tr_K on K
-    bound = Fraction(q, 1 << (k + 1))
-    return lhs >= bound and bound * bound > q

@@ -1,0 +1,102 @@
+"""Test-only oracles: slow independent re-derivations that the tests compare
+the library against.  None of them is on a certification path.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import product as iter_product
+
+from mqf.certifier import _pair_region
+from mqf.errors import (
+    BudgetExceededError,
+    DegeneratePartError,
+    FieldMismatchError,
+    NotIntegralError,
+)
+from mqf.fields import FieldElement, MultiquadField, make_field
+from mqf.integers import is_algebraic_integer
+
+UNPRUNED_POINT_CAP = 4 * 10**6
+
+
+def enumerate_violations_unpruned(a: FieldElement, b: FieldElement):
+    """Slow independent oracle: same embedding box, no ellipsoid, no prefilter.
+
+    Pure rational arithmetic over every nonzero point; only meant for small
+    boxes (tests and spot checks).  Returns (violations, near_misses).
+    """
+    if a.field != b.field:
+        raise FieldMismatchError("pair elements live in different fields")
+    field = a.field
+    box, _, _ = _pair_region(a, b)
+    if box.total_points() > UNPRUNED_POINT_CAP:
+        raise BudgetExceededError(0, box.total_points(), "unpruned enumeration")
+    fourab = a * b * 4
+    violations = []
+    near = 0
+    ranges = [range(-m, m + 1) for m in box.scaled_bounds]
+    for coords in iter_product(*ranges):
+        if not any(coords):
+            continue
+        c = box.element(coords)
+        diff = fourab - c * c
+        if all(diff.sign_at(s) >= 0 for s in range(field.degree)):
+            if is_algebraic_integer(c):
+                violations.append(c)
+            else:
+                near += 1
+    return violations, near
+
+
+def check_case_c_bound(c: FieldElement) -> bool:
+    """Verify Tr_L(c^2) > sqrt(q) for integral c = u + v*sqrt(q), u, v != 0.
+
+    Property-test harness for the mixed case of the extension argument; not
+    part of the certification path.  Comparison is exact on squares.
+    """
+    field = c.field
+    top = 1 << (field.k - 1)
+    q = field.radicands[top]
+    has_low = any(mask < top and coeff for mask, coeff in c.coeffs.items())
+    has_high = any(mask & top and coeff for mask, coeff in c.coeffs.items())
+    if not has_low or not has_high:
+        raise DegeneratePartError("c = u + v*sqrt(q) needs both u and v nonzero")
+    if not is_algebraic_integer(c):
+        raise NotIntegralError(f"{c!r} is not an algebraic integer")
+    t = (c * c).trace()
+    return t > 0 and t * t > q
+
+
+def split_at_top(c: FieldElement) -> tuple[FieldElement, FieldElement]:
+    """Write c = u + v*sqrt(q) with u, v in the subfield below the top generator.
+
+    Both parts are returned as elements of the subfield K.
+    """
+    field = c.field
+    top = 1 << (field.k - 1)
+    sub = make_field(list(field.primes[:-1]))
+    u: dict[int, Fraction] = {}
+    v: dict[int, Fraction] = {}
+    for mask, coeff in c.coeffs.items():
+        if mask & top:
+            # sqrt(p_mask) = sqrt(p_low)*sqrt(q)/m, so the sqrt(q)-part picks up 1/m.
+            low = mask ^ top
+            v[low] = coeff / field.mult[low][top]
+        else:
+            u[mask] = coeff
+    return sub.element(u), sub.element(v)
+
+
+def case_b_identity_holds(field_k: MultiquadField, q: int, v: FieldElement) -> bool:
+    """Exact check of the squared-pure-part chain for v != 0 in (1/2^(k+1))Z[sqrt(p_I)]:
+
+    Tr_L((v sqrt(q))^2) = 2 q Tr_K(v^2) >= q / 2^(k+1) > sqrt(q).
+    """
+    if not v:
+        raise ValueError("v must be nonzero")
+    k = field_k.k
+    tr_k_v2 = (v * v).trace()
+    lhs = 2 * q * tr_k_v2          # Tr_L(v^2 q) with Tr_L = 2 Tr_K on K
+    bound = Fraction(q, 1 << (k + 1))
+    return lhs >= bound and bound * bound > q

@@ -13,8 +13,9 @@ from conftest import (
     random_tp_integer,
     shift_totally_positive,
 )
+from oracles import case_b_identity_holds, check_case_c_bound, enumerate_violations_unpruned
 from mqf.certifier import dumps_canonical, pair_condition_certify, \
-    enumerate_violations_unpruned, verify_certificate, WitnessSet
+    verify_certificate, WitnessSet
 from mqf.cf import scan_for_witnesses
 from mqf.cli import main as cli_main
 from mqf.fields import make_field
@@ -25,7 +26,7 @@ from mqf.indecomposables import (
     trace_bound_holds,
 )
 from mqf.integers import is_algebraic_integer, totally_positive_integers_up_to_trace
-from mqf.tower import build_tower, case_b_identity_holds, check_case_c_bound, verify_tower
+from mqf.tower import build_tower, verify_tower
 
 _FOUND = {}
 

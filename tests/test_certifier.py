@@ -6,12 +6,12 @@ import pytest
 
 import mqf.kernels
 from conftest import random_tp_integer
+from oracles import enumerate_violations_unpruned
 from mqf.certifier import (
     Certificate,
     WitnessSet,
     certify_witness_set,
     dumps_canonical,
-    enumerate_violations_unpruned,
     pair_condition_certify,
     sqrt_upper,
     verify_certificate,

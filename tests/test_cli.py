@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import mqf.kernels
+from mqf.certifier import dumps_canonical
 from mqf.cli import main
 from mqf.errors import ExprError
 from mqf.expr import BoolResult, PolyResult, evaluate, format_result
@@ -262,3 +264,108 @@ def test_cli_scan_start_enumerates_successive_fields(tmp_path, capsys):
     d2 = json.loads(second.read_text())["field"]["primes"][0]
     assert d2 > d1
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# verify on hostile input: exit 3 with one line, never a traceback
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """Real witness, certificate and tower files (one tower with a top certificate)."""
+    root = tmp_path_factory.mktemp("artifacts")
+    paths = {name: root / f"{name}.json" for name in
+             ("witness", "certificate", "tower", "deep_tower")}
+    assert main(["witness", "--N", "2", "--D", "15", "--trace-bound", "60",
+                 "--out", str(paths["witness"])]) == 0
+    assert main(["certify", "--in", str(paths["witness"]),
+                 "--out", str(paths["certificate"])]) == 0
+    tower = ["tower", "--D", "15", "--N", "2", "--k", "2", "--trace-bound", "60"]
+    assert main(tower + ["--out", str(paths["tower"])]) == 0
+    assert main(tower + ["--deep-verify", "--out", str(paths["deep_tower"])]) == 0
+    return {name: json.loads(path.read_text()) for name, path in paths.items()}
+
+
+def _reproduction(certificate, case):
+    data = json.loads(json.dumps(certificate))
+    if case == "pairs-null":
+        data["pairs"] = None
+    elif case == "coefficient-x/2":
+        data["witnesses"][1]["coeffs"]["0"] = "x/2"
+    else:
+        data["field"]["primes"] = [15, 2, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
+    return data
+
+
+@pytest.mark.parametrize("case", ["pairs-null", "coefficient-x/2", "twelve-primes"])
+def test_cli_verify_hostile_certificate_exit_3(case, artifacts, tmp_path):
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(_reproduction(artifacts["certificate"], case)))
+    out = subprocess.run([sys.executable, "-m", "mqf.cli", "verify", str(path)],
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 3
+    assert "Traceback" not in out.stderr
+    assert len(out.stderr.strip().splitlines()) == 1
+
+
+# Replacement values: every JSON type, malformed and non-canonical rationals,
+# an over-long integer string.  Positive integers are left out: pair_budget
+# and step offsets are recorded but not replayed, so a different positive
+# value there verifies.
+HOSTILE = [None, True, False, 0, -1, 2.5, "", "x/2", "1/1", "2/2", "01/1", "12",
+           "9" * 5000, [], [1], {}, {"coeffs": {}}, {"primes": [2, 3]}]
+
+
+def _paths(node, path=()):
+    yield path, node
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _paths(value, path + (i,))
+
+
+def _mutations(doc, rng):
+    """(label, mutated copy) for every node: two replacements, and a dropped,
+    added or duplicated member where the node is an object or a list."""
+    def edited(path, op):
+        box = [json.loads(json.dumps(doc))]  # gives the root a parent too
+        parent, key = box, 0
+        for step in path:
+            parent, key = parent[key], step
+        op(parent, key)
+        return box[0]
+
+    def put(value):
+        return lambda parent, key: parent.__setitem__(key, value)
+
+    for path, node in list(_paths(doc)):
+        for value in rng.sample(HOSTILE, 2):
+            yield f"{path} = {str(value)[:20]}", edited(path, put(value))
+        if path:
+            yield f"del {path}", edited(path, lambda parent, key: parent.pop(key))
+        if isinstance(node, dict):
+            yield f"{path} + extra", edited(path, lambda parent, key: parent[key].update(extra=1))
+        if isinstance(node, list) and node:
+            yield f"{path} + dup", edited(path, lambda parent, key: parent[key].append(node[-1]))
+
+
+def test_cli_verify_fuzzed_artifacts(artifacts, tmp_path, capsys):
+    rng = random.Random(2026)
+    path = tmp_path / "mutated.json"
+    codes = {0: 0, 1: 0, 2: 0, 3: 0}
+    for name, doc in artifacts.items():
+        original = dumps_canonical(doc)
+        for label, mutated in _mutations(doc, rng):
+            path.write_text(json.dumps(mutated))
+            code = main(["verify", str(path)])  # an uncaught exception fails here
+            err = capsys.readouterr().err
+            assert code in codes, (name, label)
+            assert "Traceback" not in err
+            if code == 3:
+                assert len(err.strip().splitlines()) == 1, (name, label, err)
+            if code == 0:
+                assert dumps_canonical(mutated) == original, (name, label)
+            codes[code] += 1
+    assert codes[3] > 100 and codes[1] > 10

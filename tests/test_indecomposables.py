@@ -157,6 +157,28 @@ def test_oracle_budget_unknown(q23):
     assert v.budget_used == 10
 
 
+def test_oracle_budget_used_is_the_witness_position(q23, q5):
+    # budget_used of a scan-found witness is its flat odometer index + 1: that
+    # budget finds the same witness, one point less finds none (the witness is
+    # the lexicographically smallest in deterministic mode).
+    rng = random.Random(44)
+    checked = 0
+    for field in (q23, q5):
+        for _ in range(12):
+            x = random_tp_integer(field, rng, spread=3)
+            v = exhaustive_indecomposable(x, deterministic=True)
+            if v.verdict is not Verdict.DECOMPOSABLE:
+                continue
+            checked += 1
+            same = exhaustive_indecomposable(x, budget=v.budget_used, deterministic=True)
+            assert same.verdict is Verdict.DECOMPOSABLE
+            assert same.witness == v.witness and same.budget_used == v.budget_used
+            short = exhaustive_indecomposable(x, budget=v.budget_used - 1, deterministic=True)
+            assert short.verdict is Verdict.UNKNOWN
+            assert short.budget_used == v.budget_used - 1
+    assert checked >= 10
+
+
 def test_oracle_rejects_bad_input(q23):
     with pytest.raises(NotTotallyPositiveError):
         exhaustive_indecomposable(q23.sqrt_term(2))

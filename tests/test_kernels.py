@@ -8,7 +8,6 @@ import mqf.kernels
 from mqf.errors import BackendUnavailableError
 from mqf.kernels import (
     BoxScan,
-    _scan_chunk_numpy,
     _scan_chunk_python,
     backend_name,
     collect_survivors,
@@ -28,11 +27,18 @@ def _job(lo, hi, embed, emb_lo, emb_hi, ell=None, ell_bound=-1, skip_zero=True):
     return BoxScan(lo, hi, embed, emb_lo, emb_hi, margin, ell_arr, ell_bound, skip_zero)
 
 
-def _reference_scan(job):
-    """Plain Python re-enumeration, same acceptance tests, odometer order."""
+def _reference_scan(job, start=0, stop=None):
+    """Plain Python re-enumeration, same acceptance tests, odometer order.
+
+    Only the points whose flat odometer index lies in [start, stop) are tested.
+    """
     out = []
     ranges = [range(int(a), int(b) + 1) for a, b in zip(job.lo, job.hi)]
-    for coords in product(*ranges):
+    for flat, coords in enumerate(product(*ranges)):
+        if flat < start:
+            continue
+        if stop is not None and flat >= stop:
+            break
         if job.skip_zero and not any(coords):
             continue
         if job.ell_bound >= 0:
@@ -49,6 +55,22 @@ def _reference_scan(job):
         if ok:
             out.append(coords)
     return out
+
+
+def _rows(coords):
+    return [tuple(int(v) for v in row) for row in coords]
+
+
+def _check_budgets(job, budgets, chunks=(7, mqf.kernels.CHUNK)):
+    """collect_survivors equals the reference truncated to flat index < budget."""
+    total = job.total_points()
+    for budget in budgets:
+        want = _reference_scan(job, stop=budget)
+        for chunk in chunks:
+            got, scanned = collect_survivors(job, budget=budget, chunk=chunk)
+            assert scanned == min(total, budget)
+            assert got.dtype == np.int64 and got.shape[1] == job.lo.shape[0]
+            assert _rows(got) == want, (budget, chunk)
 
 
 SQRT2 = float(np.sqrt(2.0))
@@ -95,10 +117,13 @@ def test_reference_loop_matches_numpy(job):
             job.ell_bound, job.skip_zero)
     total = job.total_points()
     for g0, g1 in [(0, total), (5, total), (total // 3, 2 * total // 3 + 1)]:
-        want = _scan_chunk_numpy(lo, shape, g0, g1, *rest)
+        want = _reference_scan(job, g0, g1)
         got = _scan_chunk_python(lo, shape, g0, g1, *rest)
         assert len(want) > 0
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert got.dtype == np.int64 and _rows(got) == want
+    full, _ = collect_survivors(job)
+    got = _scan_chunk_python(lo, shape, 0, total, *rest)
+    assert full.dtype == got.dtype and np.array_equal(full, got)
 
 
 @pytest.mark.parametrize("job", JOBS)
@@ -118,10 +143,11 @@ def test_odometer_order_and_chunking(monkeypatch):
 
 @pytest.mark.parametrize("emb_lo, emb_hi", [(0.0, 4.0), (16.0, 20.0)],
                          ids=["survivors-first", "survivors-last"])
-def test_workspace_reuse_across_chunks(emb_lo, emb_hi):
-    # 105 points in chunks of 30, 30, 30 and 15: the last chunk is shorter
-    # than the workspace, and survivors sit in the first or the last chunk
-    # only, so a buffer that kept a value from the chunk before would show.
+def test_prefix_chunk_boundaries(emb_lo, emb_hi):
+    # 21 prefixes of w = 5 points, 6 prefixes (30 points) per chunk of 30:
+    # yields of 30, 30, 30 and 15, with survivors in the first or the last
+    # yields only, so a candidate carried across a prefix-chunk boundary
+    # would show.
     job = _job([0, -2], [20, 2], [[1.0, 0.0]], [emb_lo], [emb_hi])
     chunks = [(len(coords), n) for coords, n in scan_box(job, chunk=30)]
     assert [n for _, n in chunks] == [30, 30, 30, 15]
@@ -167,3 +193,111 @@ def test_empty_box_yields_nothing():
     job = _job([2, 2], [1, 1], [[1.0, 1.0]], [0.0], [10.0])
     got, scanned = collect_survivors(job)
     assert len(got) == 0 and scanned == 0
+
+
+# ---------------------------------------------------------------------------
+# region scan against the reference, full and budget-truncated
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("job", JOBS)
+def test_every_budget_matches_reference(job):
+    total = job.total_points()
+    if total > 1000:
+        budgets = sorted({1, 2, total - 1, total, total + 1, total + 2}
+                         | set(np.random.default_rng(3).integers(1, total, 40).tolist()))
+    else:
+        budgets = range(1, total + 3)
+    _check_budgets(job, budgets)
+
+
+def _random_job(rng):
+    m = int(rng.integers(1, 5))
+    lo = rng.integers(-5, 3, size=m)
+    hi = lo + rng.integers(0, 7, size=m)
+    n_emb = int(rng.integers(1, 4))
+    # coefficients of both signs, some exactly 0
+    embed = rng.normal(size=(n_emb, m)) * rng.choice([0.0, 0.5, 1.0, 3.0], size=(n_emb, m))
+    center = rng.normal(size=n_emb) * 3.0
+    emb_lo = center - rng.uniform(0.0, 4.0, size=n_emb)
+    emb_hi = center + rng.uniform(0.0, 4.0, size=n_emb)
+    ell, ell_bound = None, -1
+    if rng.random() < 0.5:
+        ell = rng.integers(0, 4, size=m).tolist()
+        ell_bound = int(rng.integers(0, 60))
+    return _job(lo, hi, embed, emb_lo, emb_hi, ell=ell, ell_bound=ell_bound,
+                skip_zero=bool(rng.random() < 0.5))
+
+
+def test_random_jobs_match_reference():
+    rng = np.random.default_rng(20261018)
+    survivors = 0
+    for _ in range(300):
+        job = _random_job(rng)
+        total = job.total_points()
+        budgets = [total, int(rng.integers(1, total + 3))]
+        chunk = int(rng.integers(1, 40))
+        _check_budgets(job, budgets, chunks=(chunk,))
+        survivors += len(_reference_scan(job))
+    assert survivors > 1000  # the windows are not all empty
+
+
+def _exact_job(lo, hi, embed, emb_lo, emb_hi, skip_zero=True):
+    """A job with margin 0, so the window ends are the accepted values themselves."""
+    job = _job(lo, hi, embed, emb_lo, emb_hi, skip_zero=skip_zero)
+    return BoxScan(job.lo, job.hi, job.embed, job.emb_lo, job.emb_hi,
+                   np.zeros_like(job.margin), job.ell_coeffs, job.ell_bound, skip_zero)
+
+
+def test_zero_last_axis_coefficient():
+    # the second embedding ignores the last axis: it keeps or drops a prefix
+    # whole, and the origin's prefix is among the kept ones
+    job = _job([-3, -4], [3, 4], [[1.0, 0.5], [1.0, 0.0]], [-2.0, -1.0], [2.0, 1.0])
+    want = _reference_scan(job)
+    assert want and {c[0] for c in want} == {-1, 0, 1}
+    _check_budgets(job, range(1, job.total_points() + 3))
+
+
+def test_window_that_holds_no_prefix():
+    job = _job([-3, -3, -3], [3, 3, 3], [[1.0, SQRT2, SQRT3]], [100.0], [101.0])
+    assert _reference_scan(job) == []
+    got, scanned = collect_survivors(job, chunk=7)
+    assert len(got) == 0 and scanned == job.total_points()
+    # only one prefix row (n_0 = 3) reaches the window
+    job = _job([-3, -3, -3], [3, 3, 3], [[10.0, 0.25, -0.125]], [30.0], [31.0])
+    assert {c[0] for c in _reference_scan(job)} == {3}
+    _check_budgets(job, [job.total_points(), 300, 301])
+
+
+def test_survivor_exactly_on_a_window_end():
+    # the window ends are the float values of real points, with no margin
+    embed = np.array([[0.1, 0.3, -0.7]])
+    low = float(np.float64(2) * 0.1 + np.float64(-1) * 0.3 + np.float64(1) * -0.7)
+    high = float(np.float64(-1) * 0.1 + np.float64(3) * 0.3 + np.float64(-2) * -0.7)
+    job = _exact_job([-3, -3, -3], [3, 3, 3], embed, [low], [high])
+    want = _reference_scan(job)
+    assert (2, -1, 1) in want and (-1, 3, -2) in want
+    _check_budgets(job, [job.total_points()])
+    integral = _exact_job([-4, -4], [4, 4], [[1.0, 1.0]], [3.0], [5.0])
+    assert {c[0] + c[1] for c in _reference_scan(integral)} == {3, 4, 5}
+    _check_budgets(integral, range(1, integral.total_points() + 3))
+
+
+def test_origin_inside_a_budget_clipped_prefix():
+    # the origin has flat index 12 in the 5 x 5 box; budgets 11..15 clip the
+    # prefix n_0 = 0 before it, at it, and after it
+    job = _job([-2, -2], [2, 2], [[1.0, 1.0], [1.0, -1.0]], [-1.0, -1.0], [1.0, 1.0])
+    for budget in range(11, 16):
+        rows = _reference_scan(job, stop=budget)
+        assert (0, 0) not in rows
+    _check_budgets(job, range(1, 28), chunks=(1, 5, 7, mqf.kernels.CHUNK))
+
+
+@pytest.mark.parametrize("skip_zero", [True, False])
+def test_one_axis_box(skip_zero):
+    job = _job([-6], [9], [[0.75], [-1.5]], [-3.0, -9.0], [4.0, 2.0], ell=[2],
+               ell_bound=60, skip_zero=skip_zero)
+    want = _reference_scan(job)
+    assert ((0,) in want) == (not skip_zero)
+    chunks = [n for _, n in scan_box(job, chunk=4)]
+    assert chunks == [16]  # the empty prefix is one prefix of w = 16 points
+    _check_budgets(job, range(1, 19), chunks=(1, 4, mqf.kernels.CHUNK))

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_element
+from oracles import case_b_identity_holds, check_case_c_bound, split_at_top
 from mqf.certifier import WitnessSet, certify_witness_set, dumps_canonical
 from mqf.cf import search_witnesses
 from mqf.errors import BaseWitnessNotFoundError, DegeneratePartError, MqfError
@@ -13,12 +14,9 @@ from mqf.tower import (
     Tower,
     TowerStep,
     build_tower,
-    case_b_identity_holds,
-    check_case_c_bound,
     lift_witnesses,
     max_pair_trace,
     select_next_q,
-    split_at_top,
     verify_tower,
 )
 
