@@ -239,8 +239,7 @@ def pair_condition_certify(a: FieldElement, b: FieldElement, *, i: int = 0, j: i
     violations: list[FieldElement] = []
     for row in _confirm_order(stacked, field.radicands):
         c = box.element(row)
-        diff = fourab - c * c
-        if all(diff.sign_at(s) >= 0 for s in range(field.degree)):
+        if fourab.succeq(c * c):
             if is_algebraic_integer(c):
                 violations.append(c)
                 if not collect_all:

@@ -3,9 +3,14 @@
 Elements are stored as sparse maps from subset bitmasks to exact rational
 coefficients over the basis {sqrt(p_I)}, where p_I is the squarefree part of
 prod_{i in I} p_i.  Bit i of a mask corresponds to the generator p_{i+1}.
-All decisions (signs, orderings, total positivity) are made in exact rational
-arithmetic; floating point appears only in optional prefilters and never in a
-decision path.
+All decisions (signs, orderings, total positivity) are exact; floating point
+appears only in optional prefilters and never in a decision path.
+
+Signs are decided on the integer coordinates n_I of x over its common
+denominator, in one routine (:func:`_signs`).  An integer enclosure built from
+the per-field table r_I = isqrt(p_I * 2^128) decides almost every embedding;
+the few it leaves open go to an exact integer recursion over the quadratic
+subfield tower (:func:`_exact_signs`).
 """
 
 from __future__ import annotations
@@ -13,8 +18,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
-from typing import Iterable, Mapping
+from math import gcd, isqrt, lcm
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -78,11 +83,14 @@ def is_squarefree(n: int) -> bool:
     return n >= 1 and squarefree_part(n) == n
 
 
-def sqrt_enclosure(n: int, bits: int = 64) -> tuple[Fraction, Fraction]:
-    """Exact rational interval [lo, hi] with lo <= sqrt(n) <= hi, width 2^-bits."""
-    scale = 1 << bits
-    root = isqrt(n * scale * scale)
-    return Fraction(root, scale), Fraction(root + 1, scale)
+# Bits of the cached root table: sqrt(p_I) * 2^ROOT_BITS lies in [r_I, r_I + 1).
+# Certificates are built from enclosures of this width, so it is fixed.
+ROOT_BITS = 64
+
+
+def _root_table(radicands: Iterable[int], bits: int) -> tuple[int, ...]:
+    """r_I = isqrt(p_I * 4^bits), so r_I <= sqrt(p_I) * 2^bits < r_I + 1."""
+    return tuple(isqrt(p << 2 * bits) for p in radicands)
 
 
 @dataclass(frozen=True)
@@ -128,7 +136,7 @@ class MultiquadField:
 
     __slots__ = (
         "primes", "k", "degree", "radicands", "mult",
-        "_embed_matrix", "_value_to_mask", "_sqrt_cache", "_residue_cache",
+        "roots", "_embed_matrix", "_value_to_mask", "_residue_cache",
     )
 
     def __init__(self, primes: tuple[int, ...], radicands: tuple[int, ...]):
@@ -150,8 +158,8 @@ class MultiquadField:
                         f"inconsistent product table at subsets {i}, {j}"
                     )
         self._value_to_mask = {radicands[m]: m for m in range(self.degree)}
+        self.roots = _root_table(radicands, ROOT_BITS)
         self._embed_matrix: np.ndarray | None = None
-        self._sqrt_cache: dict[int, tuple[Fraction, Fraction]] = {}
         self._residue_cache: np.ndarray | None = None  # filled by integers.py
 
     # -- identity ---------------------------------------------------------
@@ -219,13 +227,6 @@ class MultiquadField:
                     mat[s, m] = sign * roots[m]
             self._embed_matrix = mat
         return self._embed_matrix
-
-    def sqrt_bounds(self, mask: int, bits: int = 64) -> tuple[Fraction, Fraction]:
-        cached = self._sqrt_cache.get(mask)
-        if cached is None:
-            cached = sqrt_enclosure(self.radicands[mask], bits)
-            self._sqrt_cache[mask] = cached
-        return cached
 
     # -- serialization ------------------------------------------------------
 
@@ -337,46 +338,85 @@ def _mul_int_dicts(field: MultiquadField, a: Mapping[int, int],
     return {m: c for m, c in out.items() if c}
 
 
-def _sign_rec(field: MultiquadField, coeffs: Mapping[int, Fraction],
-              smask: int, level: int) -> int:
-    """Exact sign of sigma_s(x) for x supported on masks < 2^level.
+def _scaled(coeffs: Mapping[int, Fraction]) -> tuple[int, dict[int, int]]:
+    """(d, n) with coeffs[I] = n[I] / d and d the least common denominator."""
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    return den, {m: c.numerator * (den // c.denominator) for m, c in coeffs.items()}
+
+
+def _exact_signs(field: MultiquadField, n: Mapping[int, int], smasks: Collection[int],
+                 level: int) -> dict[int, int]:
+    """Exact sign of sigma_s(x) for each s in ``smasks``, x = sum_I n_I sqrt(p_I)
+    with integer n_I on masks < 2^level.
 
     Splits x = u + v*sqrt(p_top) over the subfield of the first level-1
-    generators and decides by the signs of u, v and u^2 - p_top*v^2, recursing
-    to plain rational signs at level 0.
+    generators, decides by the signs of u and v where they agree or one is 0,
+    and otherwise by the sign of w = u^2 - p_top*v^2, formed once for every
+    embedding that needs it.  The subfield sees only the low bits of s.
     """
     if level == 0:
-        c = coeffs.get(0, Fraction(0))
-        return (c > 0) - (c < 0)
+        c = n.get(0, 0)
+        return dict.fromkeys(smasks, (c > 0) - (c < 0))
     top = 1 << (level - 1)
-    p_top = field.radicands[top]
-    u: dict[int, Fraction] = {}
-    v: dict[int, Fraction] = {}
-    for mask, c in coeffs.items():
-        if mask & top:
-            low = mask ^ top
-            # sqrt(p_mask) = sqrt(p_low) * sqrt(p_top) / m
-            v[low] = c / field.mult[low][top]
+    row = field.mult[top]
+    # sqrt(p_I) = sqrt(p_{I^top}) * sqrt(p_top) / row[I^top] when I has the top
+    # bit; scaling by the lcm of those divisors (1 for coprime generators) keeps
+    # u and v integral and leaves every sign as it is.
+    scale = lcm(*(row[m ^ top] for m in n if m & top))
+    u: dict[int, int] = {}
+    v: dict[int, int] = {}
+    for m, c in n.items():
+        if m & top:
+            v[m ^ top] = c * scale // row[m ^ top]
         else:
-            u[mask] = c
-    s_top = -1 if smask & top else 1
-    su = _sign_rec(field, u, smask, level - 1)
-    sv = s_top * _sign_rec(field, v, smask, level - 1)
-    if sv == 0:
-        return su
-    if su == 0:
-        return sv
-    if su == sv:
-        return su
-    w = _mul_dicts(field, u, u)
-    pv2 = _mul_dicts(field, v, v)
-    for mask, c in pv2.items():
-        c *= p_top
-        if mask in w:
-            w[mask] -= c
+            u[m] = c * scale
+    low = top - 1
+    lows = {s & low for s in smasks}
+    su = _exact_signs(field, u, lows, level - 1)
+    sv = _exact_signs(field, v, lows, level - 1)
+    out: dict[int, int] = {}
+    mixed = []
+    for s in smasks:
+        a = su[s & low]
+        b = -sv[s & low] if s & top else sv[s & low]
+        if b == 0 or a == b:
+            out[s] = a
+        elif a == 0:
+            out[s] = b
         else:
-            w[mask] = -c
-    return su * _sign_rec(field, w, smask, level - 1)
+            mixed.append(s)
+    if mixed:
+        w = _mul_int_dicts(field, u, u)
+        for m, c in _mul_int_dicts(field, v, v).items():
+            w[m] = w.get(m, 0) - field.radicands[top] * c
+        sw = _exact_signs(field, w, {s & low for s in mixed}, level - 1)
+        for s in mixed:
+            out[s] = su[s & low] * sw[s & low]
+    return out
+
+
+def _signs(field: MultiquadField, coeffs: Mapping[int, Fraction],
+           smasks: Sequence[int]) -> list[int]:
+    """Exact sign of sigma_s(x) for each s in ``smasks``; the one place signs
+    are decided.
+
+    With n the integer coordinates of x over its common denominator d,
+    A_s = sum_I +-n_I r_I differs from sigma_s(x) * d * 2^64 by less than
+    sum_{I != 0} |n_I| (r_0 = 2^64 is exact), so a larger |A_s| decides the
+    sign as sign(A_s).  Embeddings left open go to :func:`_exact_signs`.
+    """
+    _, n = _scaled(coeffs)
+    slack = sum(abs(c) for m, c in n.items() if m)
+    terms = [(m, c * field.roots[m]) for m, c in n.items()]
+    out = []
+    for s in smasks:
+        a = sum(-t if (s & m).bit_count() & 1 else t for m, t in terms)
+        out.append(1 if a > slack else -1 if a < -slack else 0)
+    undecided = [s for s, sign in zip(smasks, out) if not sign]
+    if undecided:
+        exact = _exact_signs(field, n, undecided, field.k)
+        out = [sign or exact[s] for s, sign in zip(smasks, out)]
+    return out
 
 
 class FieldElement:
@@ -515,15 +555,18 @@ class FieldElement:
 
     def norm(self) -> Fraction:
         """Product of all 2^k conjugates, verified to be rational."""
-        prod = self.field.one()
-        for smask in range(self.field.degree):
-            prod = prod * self.conjugate(smask)
-        for mask, c in prod.coeffs.items():
-            if mask != 0 and c:
+        field = self.field
+        den, n = _scaled(self.coeffs)
+        prod = {0: 1}
+        for smask in range(field.degree):
+            conj = {m: -c if (smask & m).bit_count() & 1 else c for m, c in n.items()}
+            prod = _mul_int_dicts(field, prod, conj)
+        for mask in prod:
+            if mask != 0:
                 raise NonRationalNormError(
-                    f"conjugate product has residual sqrt({self.field.radicands[mask]}) term"
+                    f"conjugate product has residual sqrt({field.radicands[mask]}) term"
                 )
-        return prod.coeffs.get(0, Fraction(0))
+        return Fraction(prod.get(0, 0), den ** field.degree)
 
     def char_poly(self) -> list[Fraction]:
         """Coefficients of prod_s (T - sigma_s(x)), constant term first, monic."""
@@ -550,23 +593,24 @@ class FieldElement:
 
     def sign_at(self, embedding: EmbeddingSigns | int) -> int:
         """Exact sign of sigma_s(x) in {-1, 0, +1}; no floating point involved."""
-        return _sign_rec(self.field, self.coeffs, _as_mask(embedding), self.field.k)
+        smask = _as_mask(embedding)
+        if not 0 <= smask < self.field.degree:
+            raise ValueError(f"embedding mask {smask} out of range for k={self.field.k}")
+        return _signs(self.field, self.coeffs, [smask])[0]
 
     def signs(self) -> list[int]:
-        return [self.sign_at(s) for s in range(self.field.degree)]
+        return _signs(self.field, self.coeffs, range(self.field.degree))
 
     def succeq(self, other: FieldElement | RationalLike) -> bool:
         """self >= other in the total-positivity partial order (equality allowed)."""
-        diff = self - self._coerce(other)
-        return all(diff.sign_at(s) >= 0 for s in range(self.field.degree))
+        return min((self - self._coerce(other)).signs()) >= 0
 
     def succ(self, other: FieldElement | RationalLike) -> bool:
         """self - other is totally positive (strict at every embedding)."""
-        diff = self - self._coerce(other)
-        return all(diff.sign_at(s) > 0 for s in range(self.field.degree))
+        return min((self - self._coerce(other)).signs()) > 0
 
     def is_totally_positive(self) -> bool:
-        return self.succ(0)
+        return min(self.signs()) > 0
 
     # -- numeric views -----------------------------------------------------------
 
@@ -576,33 +620,34 @@ class FieldElement:
             vec[mask] = float(c)
         return self.field.embedding_matrix() @ vec
 
-    def embedding_enclosures(self, bits: int = 64) -> list[tuple[Fraction, Fraction]]:
-        """Exact rational intervals containing each sigma_s(x)."""
+    def embedding_enclosures(self, bits: int = ROOT_BITS) -> list[tuple[Fraction, Fraction]]:
+        """Exact rational intervals containing each sigma_s(x), of width
+        sum_I |x_I| * 2^-bits (sqrt(1) too is enclosed, not taken as exact)."""
+        field = self.field
+        roots = field.roots if bits == ROOT_BITS else _root_table(field.radicands, bits)
+        den, n = _scaled(self.coeffs)
+        scale = den << bits
         out = []
-        for smask in range(self.field.degree):
-            lo = Fraction(0)
-            hi = Fraction(0)
-            for mask, c in self.coeffs.items():
-                rlo, rhi = self.field.sqrt_bounds(mask, bits)
-                if (smask & mask).bit_count() % 2:
-                    rlo, rhi = -rhi, -rlo
-                if c >= 0:
-                    lo += c * rlo
-                    hi += c * rhi
+        for smask in range(field.degree):
+            # each term t * sqrt(p_I) * 2^bits, t = +-n_I, lies between t*r_I and t*(r_I + 1)
+            lo = hi = 0
+            for m, c in n.items():
+                t = -c if (smask & m).bit_count() & 1 else c
+                if t > 0:
+                    lo += t * roots[m]
+                    hi += t * (roots[m] + 1)
                 else:
-                    lo += c * rhi
-                    hi += c * rlo
-            out.append((lo, hi))
+                    lo += t * (roots[m] + 1)
+                    hi += t * roots[m]
+            out.append((Fraction(lo, scale), Fraction(hi, scale)))
         return out
 
     def scaled_coords(self) -> tuple[int, list[int]]:
         """(d, n) with coefficient on mask m equal to n[m]/d and d minimal."""
-        den = 1
-        for c in self.coeffs.values():
-            den = den * c.denominator // gcd(den, c.denominator)
+        den, n = _scaled(self.coeffs)
         coords = [0] * self.field.degree
-        for mask, c in self.coeffs.items():
-            coords[mask] = int(c * den)
+        for mask, c in n.items():
+            coords[mask] = c
         return den, coords
 
     # -- serialization -------------------------------------------------------------

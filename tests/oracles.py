@@ -14,10 +14,52 @@ from mqf.errors import (
     FieldMismatchError,
     NotIntegralError,
 )
-from mqf.fields import FieldElement, MultiquadField, make_field
+from mqf.fields import FieldElement, MultiquadField, _mul_dicts, make_field
 from mqf.integers import is_algebraic_integer
 
 UNPRUNED_POINT_CAP = 4 * 10**6
+
+
+def sign_rec(field: MultiquadField, coeffs, smask: int, level: int) -> int:
+    """Reference sign of sigma_s(x) for x supported on masks < 2^level, in
+    Fraction arithmetic, one embedding at a time.
+
+    Splits x = u + v*sqrt(p_top) over the subfield of the first level-1
+    generators and decides by the signs of u, v and u^2 - p_top*v^2, recursing
+    to plain rational signs at level 0.
+    """
+    if level == 0:
+        c = coeffs.get(0, Fraction(0))
+        return (c > 0) - (c < 0)
+    top = 1 << (level - 1)
+    p_top = field.radicands[top]
+    u: dict[int, Fraction] = {}
+    v: dict[int, Fraction] = {}
+    for mask, c in coeffs.items():
+        if mask & top:
+            low = mask ^ top
+            # sqrt(p_mask) = sqrt(p_low) * sqrt(p_top) / m
+            v[low] = c / field.mult[low][top]
+        else:
+            u[mask] = c
+    s_top = -1 if smask & top else 1
+    su = sign_rec(field, u, smask, level - 1)
+    sv = s_top * sign_rec(field, v, smask, level - 1)
+    if sv == 0:
+        return su
+    if su == 0:
+        return sv
+    if su == sv:
+        return su
+    w = _mul_dicts(field, u, u)
+    pv2 = _mul_dicts(field, v, v)
+    for mask, c in pv2.items():
+        c *= p_top
+        if mask in w:
+            w[mask] -= c
+        else:
+            w[mask] = -c
+    return su * sign_rec(field, w, smask, level - 1)
 
 
 def enumerate_violations_unpruned(a: FieldElement, b: FieldElement):

@@ -5,6 +5,7 @@ from math import isqrt
 import pytest
 
 from conftest import random_element, random_integer_element, shift_totally_positive
+from oracles import sign_rec
 from mqf.errors import (
     DegenerateFieldError,
     EmptyPrimeListError,
@@ -12,7 +13,7 @@ from mqf.errors import (
     NotSquarefreeError,
     PairwiseCoprimeError,
 )
-from mqf.fields import EmbeddingSigns, make_field, squarefree_part
+from mqf.fields import EmbeddingSigns, _exact_signs, _scaled, make_field, squarefree_part
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +202,17 @@ def test_norm_multiplicative(q23, q235):
             assert (x * y).norm() == x.norm() * y.norm()
 
 
+def test_norm_equals_conjugate_product(q23, q235):
+    rng = random.Random(19)
+    for field in (q23, q235, make_field([6, 10])):
+        for x in [field.zero()] + [random_element(field, rng, spread=30) for _ in range(100)]:
+            prod = field.one()
+            for smask in range(field.degree):
+                prod = prod * x.conjugate(smask)
+            assert x.norm() == prod.coeffs.get(0, Fraction(0))
+            assert set(prod.coeffs) <= {0}
+
+
 def test_char_poly_examples(q32, q5, q23):
     x = q32.element({2: Fraction(1, 2), 3: Fraction(1, 2)})  # (sqrt2 + sqrt6)/2
     assert x.char_poly() == [Fraction(1), Fraction(0), Fraction(-4), Fraction(0), Fraction(1)]
@@ -245,6 +257,77 @@ def test_sign_examples(q2, q23):
     t = q23.rational(3) + q23.sqrt_term(2) + q23.sqrt_term(3) + q23.sqrt_term(6)
     assert t.signs() == [1, 1, 1, 1]
     assert q23.zero().signs() == [0, 0, 0, 0]
+
+
+def test_sign_at_rejects_out_of_range_mask(q23):
+    x = q23.one() + q23.sqrt_term(2)
+    for bad in (4, 7, -1, EmbeddingSigns((1, 1, -1))):
+        with pytest.raises(ValueError):
+            x.sign_at(bad)
+    assert [x.sign_at(s) for s in range(4)] == x.signs() == [1, -1, 1, -1]
+
+
+def _huge(field, rng):
+    """Coefficients around 10^30 over denominators 1, 2 and 4, some zero."""
+    return field.element({m: Fraction(rng.randint(-10**30, 10**30), rng.choice((1, 2, 4)))
+                          for m in range(field.degree) if rng.random() < 0.8})
+
+
+def _near_boundary(field, rng):
+    """A power z^e or a huge element, minus the floor of one of its embeddings
+    (and minus 1 more half the time): that embedding lies in [-1, 1) while the
+    coefficients stay large, so the enclosure cannot always decide it."""
+    if rng.random() < 0.5:
+        y = random_element(field, rng, spread=9, denominators=(1,)) ** rng.randint(1, 12 // field.k)
+    else:
+        y = _huge(field, rng)
+    # wide enough that lo has the floor of the embedding (unless it is within
+    # 2^-64 of an integer, which only makes the element another test case)
+    bits = 64 + 2 * max((abs(c.numerator) + c.denominator).bit_length()
+                        for c in y.coeffs.values() or [Fraction(0)])
+    lo, _ = y.embedding_enclosures(bits)[rng.randrange(field.degree)]
+    return y - (lo.numerator // lo.denominator) - rng.randint(0, 1)
+
+
+@pytest.mark.parametrize("primes", [[2], [5], [2, 3], [6, 10], [2, 3, 5]])
+def test_signs_match_reference_recursion(primes):
+    """The enclosure plus exact fallback agrees with the Fraction recursion on
+    random, near-boundary and huge elements; the integer recursion is also run
+    alone on every embedding, since the enclosure decides almost all of them."""
+    field = make_field(primes)
+    rng = random.Random(20 + sum(primes))
+    # 10^4 elements for each k = 1, 2, 3; fewer on the second field of k = 1, 2
+    count = {(2,): 10**4, (5,): 2000, (2, 3): 10**4, (6, 10): 2000, (2, 3, 5): 10**4}[tuple(primes)]
+    elements = [field.zero()]
+    while len(elements) < count:
+        kind = rng.random()
+        if kind < 0.6:
+            elements.append(random_element(field, rng, spread=30,
+                                           max_terms=rng.randint(1, field.degree),
+                                           denominators=(1, 2, 4)))
+        elif kind < 0.85:
+            elements.append(_near_boundary(field, rng))
+        else:
+            elements.append(_huge(field, rng))
+    embeddings = range(field.degree)
+    for x in elements:
+        expected = [sign_rec(field, x.coeffs, s, field.k) for s in embeddings]
+        assert x.signs() == expected, x
+        exact = _exact_signs(field, _scaled(x.coeffs)[1], embeddings, field.k)
+        assert [exact[s] for s in embeddings] == expected, x
+        assert x.succ(0) == all(s > 0 for s in expected)
+        assert x.succeq(0) == all(s >= 0 for s in expected)
+        assert x.is_totally_positive() == x.succ(0)
+
+
+def test_enclosure_width_follows_bits():
+    x_coeffs = {0: Fraction(3, 2), 1: -1, 2: 5, 3: Fraction(-1, 4)}  # sum |x_I| = 31/4
+    for order in ((64, 128), (128, 64)):
+        field = make_field([2, 3])  # a fresh field: no enclosure computed before
+        x = field.element(x_coeffs)
+        for bits in order:
+            for lo, hi in x.embedding_enclosures(bits):
+                assert hi - lo == Fraction(31, 4) / 2 ** bits
 
 
 def test_sign_matches_interval_at_128_bits(q2, q23, q235):
