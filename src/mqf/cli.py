@@ -18,7 +18,6 @@ from . import certifier, cf, expr, indecomposables, tower
 from .certifier import WitnessSet, dumps_canonical
 from .errors import BudgetExceededError, MalformedPayloadError, MqfError, WitnessNotFoundError
 from .fields import make_field
-from .kernels import backend_name
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -332,9 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(handler=cmd_verify)
 
-    p = sub.add_parser("backend", help="report the active scan kernel backend")
-    p.set_defaults(handler=lambda args: (print(backend_name()), EXIT_OK)[1])
-
     return parser
 
 
@@ -345,8 +341,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_INPUT
     try:
-        # MQF_JIT is input too: refuse an unusable setting before any work.
-        backend_name()
         return args.handler(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -63,10 +63,6 @@ class PerfectSquareError(MqfError):
     """sqrt(D) has no continued-fraction expansion because D is square."""
 
 
-class BackendUnavailableError(MqfError, RuntimeError):
-    """The scan-kernel backend that MQF_JIT asks for cannot be loaded."""
-
-
 class ScanOverflowError(MqfError, OverflowError):
     """A scan's coordinates are too large for the kernel's int64 arithmetic."""
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NotIntegralError, NotTotallyPositiveError, WrongDegreeError
 from .fields import FieldElement
-from .integers import integral_mask, is_algebraic_integer, trace_simplex_box
+from .integers import integral_mask, is_algebraic_integer, trace_simplex_job
 from .kernels import scan_box
 
 DEFAULT_ORACLE_BUDGET = 10**7
@@ -158,7 +158,7 @@ def exhaustive_indecomposable(x: FieldElement, budget: int = DEFAULT_ORACLE_BUDG
     (its flat index + 1) for a DECOMPOSABLE verdict found by the scan, so a
     rerun with that budget finds the same witness and one with a point less
     does not; the budget for UNKNOWN; the whole box for an exhausted scan.
-    It does not depend on the kernel's chunking or backend.
+    It does not depend on the kernel's chunking.
     """
     require_totally_positive_integer(x)
     field = x.field
@@ -172,21 +172,12 @@ def exhaustive_indecomposable(x: FieldElement, budget: int = DEFAULT_ORACLE_BUDG
     t_max = int(trace) - 1
     if t_max < 1:
         return IndecomposabilityVerdict(x, Verdict.INDECOMPOSABLE_BY_EXHAUSTION, None, 0)
-    box = trace_simplex_box(field, t_max)
     uppers = [hi for _, hi in x.embedding_enclosures()]
     emb_hi = np.array([float(hi) for hi in uppers])
-    emb_lo = np.zeros(field.degree)
     # beta < x also bounds Tr(beta^2) = sum sigma_s(beta)^2 strictly by Tr(x^2).
     tr_sq = (x * x).trace()
     ell_bound = _strict_floor(Fraction(1 << field.k) * tr_sq)
-    job = box.scan_job(emb_lo, emb_hi, ell_bound=ell_bound, skip_zero=True)
-    lo = job.lo.copy()
-    hi = job.hi.copy()
-    lo[0] = 1
-    hi[0] = t_max
-    from dataclasses import replace
-
-    job = replace(job, lo=lo, hi=hi)
+    box, job = trace_simplex_job(field, t_max, emb_hi, ell_bound=ell_bound)
     total = job.total_points()
 
     scanned = 0

@@ -13,7 +13,7 @@ classified residue table or from a verified coset-saturation search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ScanOverflowError, WrongDegreeError
 from .fields import FieldElement, MultiquadField, _mul_int_dicts
-from .kernels import BoxScan, embedding_margin
+from .kernels import BoxScan, embedding_margin, scan_box
 
 
 def _int_conjugate(coeffs: dict[int, int], smask: int) -> dict[int, int]:
@@ -283,6 +283,8 @@ class LatticeBox:
         field = self.field
         if max(self.scaled_bounds) > 1 << 62:
             raise ScanOverflowError("box coordinates would overflow int64")
+        if max(field.radicands) >= 1 << 63:
+            raise ScanOverflowError("radicands would overflow int64")
         lo = -np.array(self.scaled_bounds, dtype=np.int64)
         hi = np.array(self.scaled_bounds, dtype=np.int64)
         embed = field.embedding_matrix() / self.denominator
@@ -309,29 +311,35 @@ def trace_simplex_box(field: MultiquadField, trace_bound: int) -> LatticeBox:
     return LatticeBox(field, scaled, 1 << field.k)
 
 
-def totally_positive_integers_up_to_trace(field: MultiquadField, trace_bound: int,
-                                          *, budget: int | None = None) -> list[FieldElement]:
-    """Every totally positive x in O_K with Tr(x) <= trace_bound, odometer order.
+def trace_simplex_job(field: MultiquadField, trace_bound: int, emb_hi,
+                      *, ell_bound: int = -1) -> tuple[LatticeBox, BoxScan]:
+    """Scan job for totally positive elements with trace in [1, trace_bound].
 
-    The scaled rational coordinate n_0 equals the trace, so dimension zero is
-    capped at [1, trace_bound].  Exact confirmation: integrality first
-    (integer arithmetic), then total positivity.
+    The box is ``trace_simplex_box`` and the embedding windows are [0,
+    emb_hi].  The scaled rational coordinate n_0 equals the trace, so axis 0
+    runs over [1, trace_bound], which also leaves out the origin.
     """
-    from dataclasses import replace
-
-    from .kernels import scan_box
-
-    if trace_bound < 1:
-        return []
     box = trace_simplex_box(field, trace_bound)
-    job = box.scan_job(np.zeros(field.degree),
-                       np.full(field.degree, float(trace_bound)),
+    job = box.scan_job(np.zeros(field.degree), emb_hi, ell_bound=ell_bound,
                        skip_zero=False)
     lo = job.lo.copy()
     hi = job.hi.copy()
     lo[0] = 1
     hi[0] = trace_bound
-    job = replace(job, lo=lo, hi=hi)
+    return box, replace(job, lo=lo, hi=hi)
+
+
+def totally_positive_integers_up_to_trace(field: MultiquadField, trace_bound: int,
+                                          *, budget: int | None = None) -> list[FieldElement]:
+    """Every totally positive x in O_K with Tr(x) <= trace_bound, odometer order.
+
+    Exact confirmation: integrality first (integer arithmetic), then total
+    positivity.
+    """
+    if trace_bound < 1:
+        return []
+    box, job = trace_simplex_job(field, trace_bound,
+                                 np.full(field.degree, float(trace_bound)))
     out = []
     for coords, _ in scan_box(job, budget=budget):
         if not len(coords):

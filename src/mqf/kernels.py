@@ -1,4 +1,4 @@
-"""Lattice scan kernels: a numpy region scan and a numba box scan.
+"""Lattice scan kernel: a numpy region scan.
 
 The exact modules reduce their hot loops to one primitive: enumerate integer
 coordinate vectors n in a box [lo, hi], keep those whose float64 embedding
@@ -8,57 +8,38 @@ back for exact rational confirmation, so the float filter only ever has to be
 a sound over-approximation: the margin absorbs all rounding error, and
 borderline candidates are resolved exactly by the caller.
 
-Two backends give the same survivors in the same (odometer) order, each
-applying the same per-point test with the same float accumulation order
-c_0 e_0 + c_1 e_1 + ..., so both round identically.  Selection: environment
-variable ``MQF_JIT`` — ``"1"`` forces numba, ``"0"`` forces numpy, unset
-prefers numba when importable.  Numba is optional: ``"1"`` without it raises
-``BackendUnavailableError``.
+The scan enumerates the region instead of the box, in the style of
+Fincke–Pohst: for each prefix (n_0, ..., n_{m-2}) it bounds the last
+coordinate by the interval that can hold a survivor — from each embedding
+window (the value is linear in n_{m-1}), from the exact ellipsoid and from the
+box — and runs the per-point test on that interval only.  The per-point test
+accumulates c_0 e_0 + c_1 e_1 + ... in that order.  The float-derived ends are
+widened by ``SLACK`` so that the interval is a superset of the points the test
+accepts (the argument is in ``scan_box``); the survivors are therefore exactly
+those of a test of every box point, in odometer order.
 
-* numba compiles ``_scan_chunk_python``, a loop over every point of a range of
-  the flattened box index.
-* numpy enumerates the region instead of the box, in the style of
-  Fincke–Pohst: for each prefix (n_0, ..., n_{m-2}) it bounds the last
-  coordinate by the interval that can hold a survivor — from each embedding
-  window (the value is linear in n_{m-1}), from the exact ellipsoid and from
-  the box — and runs the per-point test on that interval only.  The
-  float-derived ends are widened by ``SLACK`` so that the interval is a
-  superset of the points the test accepts (the argument is in
-  ``scan_box``); the survivors are therefore bit-identical to the box scan's.
-
-``scan_box`` yields (survivor rows, box points covered).  numba covers
-``chunk`` flat indices per yield; numpy covers floor(chunk / w) whole prefixes
-(at least one), where w is the extent of the last axis, so a caller that stops
-early stops after about one chunk of the box on either backend.
+``scan_box`` yields (survivor rows, box points covered), floor(chunk / w)
+whole prefixes (at least one) per yield, where w is the extent of the last
+axis, so a caller that stops early stops after about one chunk of the box.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BackendUnavailableError, ScanOverflowError
-
-try:
-    import numba
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    numba = None
+from .errors import ScanOverflowError
 
 CHUNK = 1 << 16
-SLACK = 2  # integer widening of the float-derived ends of a numpy interval
+SLACK = 2  # integer widening of the float-derived ends of a last-axis interval
+
+# perfbench/worker.py reads these two names and records them with each run.
+numba = None
 
 
 def backend_name() -> str:
-    flag = os.environ.get("MQF_JIT", "").strip()
-    if flag == "0":
-        return "numpy"
-    if flag == "1":
-        if numba is None:
-            raise BackendUnavailableError("MQF_JIT=1 but numba is not importable")
-        return "numba"
-    return "numba" if numba is not None else "numpy"
+    return "numpy"
 
 
 @dataclass(frozen=True)
@@ -90,68 +71,14 @@ class BoxScan:
         return int(np.prod(self.shape.astype(object)))
 
 
-def _scan_chunk_python(lo, shape, g0, g1, embed, emb_lo, emb_hi, margin,
-                       ell_coeffs, ell_bound, skip_zero):
-    # Reference loop over a flat index range; numba compiles this body, and
-    # the numpy region scan applies the same per-point test.
-    m = lo.shape[0]
-    n_emb = embed.shape[0]
-    out = np.empty((g1 - g0, m), dtype=np.int64)
-    coord = np.empty(m, dtype=np.int64)
-    g = g0
-    for axis in range(m - 1, -1, -1):
-        coord[axis] = g % shape[axis] + lo[axis]
-        g //= shape[axis]
-    found = 0
-    for _ in range(g0, g1):
-        ok = True
-        if ell_bound >= 0:
-            q = 0
-            for axis in range(m):
-                q += coord[axis] * coord[axis] * ell_coeffs[axis]
-            if q > ell_bound:
-                ok = False
-        if ok:
-            for s in range(n_emb):
-                acc = 0.0
-                for axis in range(m):
-                    acc += coord[axis] * embed[s, axis]
-                if acc < emb_lo[s] - margin[s] or acc > emb_hi[s] + margin[s]:
-                    ok = False
-                    break
-        if ok and skip_zero:
-            nonzero = False
-            for axis in range(m):
-                if coord[axis] != 0:
-                    nonzero = True
-                    break
-            ok = nonzero
-        if ok:
-            for axis in range(m):
-                out[found, axis] = coord[axis]
-            found += 1
-        for axis in range(m - 1, -1, -1):
-            coord[axis] += 1
-            if coord[axis] < lo[axis] + shape[axis]:
-                break
-            coord[axis] = lo[axis]
-    return out[:found]
-
-
-_scan_chunk_numba = None
-if numba is not None:
-    _scan_chunk_numba = numba.njit(cache=True)(_scan_chunk_python)
-
-
 def scan_box(job: BoxScan, *, budget: int | None = None, chunk: int = CHUNK):
     """Yield (survivor_coords, points_covered) in global odometer order.
 
     Survivors are the box points with flat index below min(total, budget)
-    that pass the per-point test, identical on both backends; the covered
-    counts sum to that limit.  The caller decides what a truncated scan
+    that pass the per-point test; the covered counts sum to that limit.  The caller decides what a truncated scan
     means.
 
-    Soundness of the numpy intervals.  For a prefix whose float partial sum
+    Soundness of the last-axis intervals.  For a prefix whose float partial sum
     is A (the value the per-point test holds before adding its last term)
     and a last-axis coefficient e != 0, the test accepts n_{m-1} = n iff
     L <= fl(A + fl(n e)) <= U, with L = emb_lo - margin and U = emb_hi +
@@ -176,7 +103,6 @@ def scan_box(job: BoxScan, *, budget: int | None = None, chunk: int = CHUNK):
     limit = total if budget is None else min(total, budget)
     if limit <= 0 or np.any(job.shape <= 0):
         return
-    backend = backend_name()
     lo = job.lo.astype(np.int64)
     shape = job.shape.astype(np.int64)
     embed = np.ascontiguousarray(job.embed, dtype=np.float64)
@@ -185,29 +111,21 @@ def scan_box(job: BoxScan, *, budget: int | None = None, chunk: int = CHUNK):
     margin = job.margin.astype(np.float64)
     ell = job.ell_coeffs.astype(np.int64)
     # int64 safety for the exact ellipsoid accumulator.  No point's form
-    # exceeds ``worst``, so a larger bound is lowered to it: same test, and it
-    # fits in int64 too.
+    # exceeds ``worst`` = sum_I max|n_I|^2 ell_I, so a larger bound is lowered
+    # to it: same test, and it fits in int64 too.
     ell_bound = job.ell_bound
     if ell_bound >= 0:
-        worst = int(np.max(np.abs(np.stack([job.lo, job.hi]))) ** 2) * int(np.sum(ell))
+        worst = sum(max(abs(int(a)), abs(int(b))) ** 2 * int(e)
+                    for a, b, e in zip(job.lo, job.hi, ell))
         if worst > (1 << 62):
             raise ScanOverflowError("ellipsoid accumulator would overflow int64")
         ell_bound = min(ell_bound, worst)
-    if backend == "numba":
-        g0 = 0
-        while g0 < limit:
-            g1 = min(g0 + chunk, limit)
-            coords = _scan_chunk_numba(lo, shape, g0, g1, embed, emb_lo, emb_hi,
-                                       margin, ell, ell_bound, job.skip_zero)
-            yield coords, g1 - g0
-            g0 = g1
-        return
     yield from _scan_region(lo, shape, embed, emb_lo - margin, emb_hi + margin,
                             ell, ell_bound, job.skip_zero, limit, chunk)
 
 
 def _scan_region(lo, shape, embed, low, high, ell, ell_bound, skip_zero, limit, chunk):
-    # The numpy backend of scan_box: per-prefix last-axis intervals, then the
+    # The body of scan_box: per-prefix last-axis intervals, then the
     # per-point test on the candidates they hold.
     m = lo.shape[0]
     last = m - 1

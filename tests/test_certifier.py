@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-import mqf.kernels
 from conftest import random_tp_integer
 from oracles import enumerate_violations_unpruned
 from mqf.certifier import (
@@ -212,15 +211,3 @@ def test_verify_tamper_to_invalid_witness_reports_not_crashes():
     data["witnesses"][1]["coeffs"][key] = "-5/1"
     problems = verify_certificate(data)
     assert problems and "witness invalid" in problems[0]
-
-
-@pytest.mark.skipif(mqf.kernels.numba is None, reason="numba is not installed")
-def test_certificates_verify_across_kernel_backends(monkeypatch):
-    # a certificate produced under one backend must re-verify under the other:
-    # point counts are backend-independent and all content is exact
-    ws = search_witnesses(15, 2, trace_bound=60)
-    data = ws.certificate.to_json()
-    monkeypatch.setenv("MQF_JIT", "0")
-    assert verify_certificate(data) == []
-    monkeypatch.setenv("MQF_JIT", "1")
-    assert verify_certificate(data) == []

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-import mqf.kernels
 from mqf.certifier import dumps_canonical
 from mqf.cli import main
 from mqf.errors import ExprError
@@ -228,30 +227,6 @@ def test_cli_subprocess_smoke(tmp_path):
     assert out.returncode == 0 and out.stdout.strip() == "1"
 
 
-@pytest.mark.skipif(mqf.kernels.numba is not None,
-                    reason="numba is installed, so MQF_JIT=1 is a valid setting")
-@pytest.mark.parametrize("argv", [
-    ["backend"],
-    ["field", "--primes", "2,3"],
-    ["elem", "--field", "2,3", "--expr", "s2"],
-    ["indec", "--field", "2,3", "--elem", "2+s3"],
-    ["cf", "--D", "19"],
-    ["witness", "--N", "2", "--D", "15"],
-    ["certify", "--in", "witnesses.json"],
-    ["tower", "--D", "55", "--N", "3", "--k", "2"],
-    ["verify", "cert.json"],
-], ids=lambda argv: argv[0])
-def test_cli_jit_without_numba_exit_3(argv, tmp_path, monkeypatch):
-    # MQF_JIT=1 without numba is an input error, refused before any file is read
-    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
-    monkeypatch.setenv("MQF_JIT", "1")
-    out = subprocess.run([sys.executable, "-m", "mqf.cli", *argv],
-                         capture_output=True, text=True)
-    assert out.returncode == 3
-    assert "Traceback" not in out.stderr
-    assert len(out.stderr.strip().splitlines()) == 1 and "numba" in out.stderr
-
-
 def test_cli_scan_start_enumerates_successive_fields(tmp_path, capsys):
     first = tmp_path / "first.json"
     second = tmp_path / "second.json"
@@ -292,12 +267,17 @@ def _reproduction(certificate, case):
         data["pairs"] = None
     elif case == "coefficient-x/2":
         data["witnesses"][1]["coeffs"]["0"] = "x/2"
+    elif case == "int64-radicand":
+        # squarefree and below 2^63, but 15 times it is not
+        data["field"]["primes"] = [15, 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43 * 47 * 53]
+        data["lattice"]["denominator"] = 4
     else:
         data["field"]["primes"] = [15, 2, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
     return data
 
 
-@pytest.mark.parametrize("case", ["pairs-null", "coefficient-x/2", "twelve-primes"])
+@pytest.mark.parametrize("case", ["pairs-null", "coefficient-x/2", "int64-radicand",
+                                  "twelve-primes"])
 def test_cli_verify_hostile_certificate_exit_3(case, artifacts, tmp_path):
     path = tmp_path / "hostile.json"
     path.write_text(json.dumps(_reproduction(artifacts["certificate"], case)))

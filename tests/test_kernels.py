@@ -1,19 +1,11 @@
-import os
 from itertools import product
 
 import numpy as np
 import pytest
 
 import mqf.kernels
-from mqf.errors import BackendUnavailableError
-from mqf.kernels import (
-    BoxScan,
-    _scan_chunk_python,
-    backend_name,
-    collect_survivors,
-    embedding_margin,
-    scan_box,
-)
+from mqf.errors import ScanOverflowError
+from mqf.kernels import BoxScan, collect_survivors, embedding_margin, scan_box
 
 
 def _job(lo, hi, embed, emb_lo, emb_hi, ell=None, ell_bound=-1, skip_zero=True):
@@ -27,16 +19,14 @@ def _job(lo, hi, embed, emb_lo, emb_hi, ell=None, ell_bound=-1, skip_zero=True):
     return BoxScan(lo, hi, embed, emb_lo, emb_hi, margin, ell_arr, ell_bound, skip_zero)
 
 
-def _reference_scan(job, start=0, stop=None):
+def _reference_scan(job, stop=None):
     """Plain Python re-enumeration, same acceptance tests, odometer order.
 
-    Only the points whose flat odometer index lies in [start, stop) are tested.
+    Only the points whose flat odometer index lies below stop are tested.
     """
     out = []
     ranges = [range(int(a), int(b) + 1) for a, b in zip(job.lo, job.hi)]
     for flat, coords in enumerate(product(*ranges)):
-        if flat < start:
-            continue
         if stop is not None and flat >= stop:
             break
         if job.skip_zero and not any(coords):
@@ -95,37 +85,6 @@ JOBS = [
 ]
 
 
-@pytest.mark.skipif(mqf.kernels.numba is None, reason="numba is not installed")
-@pytest.mark.parametrize("job", JOBS)
-def test_backends_agree_exactly(job, monkeypatch):
-    monkeypatch.setenv("MQF_JIT", "0")
-    numpy_out, n1 = collect_survivors(job)
-    monkeypatch.setenv("MQF_JIT", "1")
-    numba_out, n2 = collect_survivors(job)
-    assert n1 == n2 == job.total_points()
-    assert np.array_equal(numpy_out, numba_out)
-
-
-@pytest.mark.parametrize("job", JOBS)
-def test_reference_loop_matches_numpy(job):
-    # _scan_chunk_python is the body numba.njit compiles, so this checks the
-    # backend equivalence without numba; windows with g0 > 0 check that the
-    # loop starts its odometer at g0.
-    lo = job.lo.astype(np.int64)
-    shape = job.shape.astype(np.int64)
-    rest = (job.embed, job.emb_lo, job.emb_hi, job.margin, job.ell_coeffs,
-            job.ell_bound, job.skip_zero)
-    total = job.total_points()
-    for g0, g1 in [(0, total), (5, total), (total // 3, 2 * total // 3 + 1)]:
-        want = _reference_scan(job, g0, g1)
-        got = _scan_chunk_python(lo, shape, g0, g1, *rest)
-        assert len(want) > 0
-        assert got.dtype == np.int64 and _rows(got) == want
-    full, _ = collect_survivors(job)
-    got = _scan_chunk_python(lo, shape, 0, total, *rest)
-    assert full.dtype == got.dtype and np.array_equal(full, got)
-
-
 @pytest.mark.parametrize("job", JOBS)
 def test_matches_reference_enumeration(job):
     got, _ = collect_survivors(job)
@@ -171,22 +130,20 @@ def test_budget_truncates_scan():
     assert prefix == [tuple(r) for r in full][: len(prefix)]
 
 
-def test_backend_selection(monkeypatch):
-    monkeypatch.setenv("MQF_JIT", "0")
-    assert backend_name() == "numpy"
-    monkeypatch.setenv("MQF_JIT", "1")
-    if mqf.kernels.numba is not None:
-        assert backend_name() == "numba"
-    else:
-        # without numba the documented answer to MQF_JIT=1 is a refusal
-        with pytest.raises(BackendUnavailableError, match="numba") as err:
-            backend_name()
-        assert isinstance(err.value, RuntimeError)
-    monkeypatch.delenv("MQF_JIT")
-    if mqf.kernels.numba is not None:
-        assert backend_name() in ("numpy", "numba")
-    else:
-        assert backend_name() == "numpy"
+@pytest.mark.parametrize("ell_bound", [400, 10**6])
+def test_ellipsoid_guard_is_per_axis(ell_bound):
+    # the form reaches at most sum_I max|n_I|^2 ell_I = 10^6 here, although
+    # max|n|^2 * sum_I ell_I is above 2^62
+    job = _job([-1000, 0], [1000, 0], [[1.0, 0.0]], [-50.0], [50.0],
+               ell=[1, 2**61], ell_bound=ell_bound)
+    want = _reference_scan(job)
+    assert len(want) == (40 if ell_bound == 400 else 100)
+    _check_budgets(job, [job.total_points(), 1000])
+    # one more step on the heavy axis: 10^6 + 4 * 2^61 does not fit
+    job = _job([-1000, 0], [1000, 2], [[1.0, 0.0]], [-50.0], [50.0],
+               ell=[1, 2**61], ell_bound=ell_bound)
+    with pytest.raises(ScanOverflowError):
+        collect_survivors(job)
 
 
 def test_empty_box_yields_nothing():
