@@ -17,7 +17,7 @@ from .cf import (
     scan_for_witnesses,
     search_witnesses,
 )
-from .fields import EmbeddingSigns, FieldElement, MultiquadField, make_field
+from .fields import FieldElement, MultiquadField, make_field
 from .indecomposables import (
     IndecomposabilityVerdict,
     Verdict,
@@ -27,9 +27,7 @@ from .indecomposables import (
     trace_bound_holds,
 )
 from .integers import (
-    IntegralBasis,
     LatticeBox,
-    biquadratic_basis,
     is_algebraic_integer,
     superset_lattice_box,
 )
@@ -42,11 +40,10 @@ __all__ = [
     "pair_condition_certify", "verify_certificate",
     "CFExpansion", "cf_expand", "convergents", "quadratic_candidates",
     "scan_for_witnesses", "search_witnesses",
-    "EmbeddingSigns", "FieldElement", "MultiquadField", "make_field",
+    "FieldElement", "MultiquadField", "make_field",
     "IndecomposabilityVerdict", "Verdict", "classify_indecomposable",
     "exhaustive_indecomposable", "normab_criterion", "trace_bound_holds",
-    "IntegralBasis", "LatticeBox", "biquadratic_basis", "is_algebraic_integer",
-    "superset_lattice_box",
+    "LatticeBox", "is_algebraic_integer", "superset_lattice_box",
     "Tower", "TowerStep", "build_tower", "lift_witnesses", "select_next_q",
     "verify_tower",
 ]

@@ -19,6 +19,7 @@ is a near miss: counted, never a verdict changer.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -293,12 +294,14 @@ def certify_witness_set(witnesses: WitnessSet | Sequence[FieldElement],
             raise FieldMismatchError("witnesses live in different fields")
         require_totally_positive_integer(e, "witness")
     index_pairs = [(i, j) for i in range(len(elements)) for j in range(i + 1, len(elements))]
-    if jobs > 1 and len(index_pairs) > 1:
+    # The pool starts every worker at once, so ask for no more than can work.
+    workers = min(jobs, len(index_pairs), os.cpu_count() or 1)
+    if workers > 1:
         tasks = [
             (field.primes, elements[i].to_json(), elements[j].to_json(), i, j, budget)
             for i, j in index_pairs
         ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_certify_pair_worker, tasks))
         verdicts = []
         for status, payload in results:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -40,18 +39,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got '{text}'")
     return value
-
-
-def _budget(args, default: int) -> int:
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get("MQF_BUDGET")
-    if env:
-        try:
-            return _positive_int(env)
-        except argparse.ArgumentTypeError as exc:
-            raise MqfError(f"MQF_BUDGET: {exc}")
-    return default
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -105,7 +92,7 @@ def cmd_indec(args) -> int:
         raise MqfError("--elem must evaluate to a field element")
     verdict = indecomposables.classify_indecomposable(
         value,
-        _budget(args, indecomposables.DEFAULT_ORACLE_BUDGET),
+        args.budget or indecomposables.DEFAULT_ORACLE_BUDGET,
         deterministic=args.deterministic,
         use_norm_criterion=not args.oracle_only,
     )
@@ -146,7 +133,7 @@ def _witness_lines(ws: WitnessSet) -> list[str]:
 
 
 def cmd_witness(args) -> int:
-    budget = _budget(args, certifier.DEFAULT_PAIR_BUDGET)
+    budget = args.budget or certifier.DEFAULT_PAIR_BUDGET
     if args.D is not None:
         ws = cf.search_witnesses(args.D, args.N, args.trace_bound, pair_budget=budget)
     else:
@@ -168,7 +155,7 @@ def _read_json(path: str):
 def cmd_certify(args) -> int:
     ws = WitnessSet.from_json(_read_json(args.input))
     cert = certifier.certify_witness_set(
-        ws, budget=_budget(args, certifier.DEFAULT_PAIR_BUDGET), jobs=args.jobs)
+        ws, budget=args.budget or certifier.DEFAULT_PAIR_BUDGET, jobs=args.jobs)
     certified = WitnessSet(ws.field, ws.elements, cert)
     lines = _witness_lines(certified)
     for pair in cert.pairs:
@@ -187,7 +174,7 @@ def cmd_tower(args) -> int:
         args.D, args.N, args.k,
         offsets=offsets,
         trace_bound=args.trace_bound,
-        pair_budget=_budget(args, certifier.DEFAULT_PAIR_BUDGET),
+        pair_budget=args.budget or certifier.DEFAULT_PAIR_BUDGET,
         deep_verify=args.deep_verify,
     )
     lines = [f"top field: {result.field!r}",
@@ -306,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="certify a witness-set JSON file")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--budget", type=_positive_int)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--with-witnesses", action="store_true",
                    help="emit the witness set with embedded certificate instead "
                         "of the bare certificate")
@@ -328,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="re-derive a certificate, tower, or witness file")
     p.add_argument("input")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(handler=cmd_verify)
 
     return parser

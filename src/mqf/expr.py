@@ -5,6 +5,9 @@ operators + - * / ^ (integer exponents, negatives allowed), parentheses, and
 the functions tr(...), norm(...), charpoly(...), pos(...).  tr and norm
 evaluate to rationals and may be used inside further arithmetic; charpoly and
 pos terminate evaluation with a polynomial or boolean result.
+
+Literals, numerators and denominators are capped (``MAX_LITERAL_DIGITS``,
+``MAX_BITS``), so work stays bounded and every result prints.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from .errors import ExprError
 from .fields import FieldElement, MultiquadField
 
 FUNCTIONS = ("tr", "norm", "charpoly", "pos")
+MAX_LITERAL_DIGITS = 3000
+MAX_BITS = 10_000
 
 
 @dataclass(frozen=True)
@@ -35,9 +40,9 @@ def tokenize(source: str) -> list[Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # not str.isdigit(), which takes digits int() refuses
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and "0" <= source[j] <= "9":
                 j += 1
             tokens.append(Token("int", source[i:j], i, j))
             i = j
@@ -47,7 +52,7 @@ def tokenize(source: str) -> list[Token]:
             while j < n and source[j].isalnum():
                 j += 1
             word = source[i:j]
-            if word[0] == "s" and word[1:].isdigit():
+            if word[0] == "s" and word[1:].isascii() and word[1:].isdecimal():
                 tokens.append(Token("sqrt", word, i, j))
             elif word in FUNCTIONS:
                 tokens.append(Token("func", word, i, j))
@@ -69,6 +74,10 @@ def tokenize(source: str) -> list[Token]:
             continue
         raise ExprError(f"unexpected character '{ch}'", i, i + 1)
     tokens.append(Token("end", "", n, n))
+    for tok in tokens:
+        if len(tok.text) > MAX_LITERAL_DIGITS:
+            raise ExprError(f"literal with more than {MAX_LITERAL_DIGITS} digits",
+                            tok.start, tok.end)
     return tokens
 
 
@@ -83,6 +92,22 @@ class BoolResult:
 
 
 Result = FieldElement | PolyResult | BoolResult
+
+
+def _bits(value: Result) -> int:
+    """Largest bit length of a numerator or denominator in ``value``."""
+    if isinstance(value, BoolResult):
+        return 0
+    numbers = value.coefficients if isinstance(value, PolyResult) else value.coeffs.values()
+    return max((max(q.numerator.bit_length(), q.denominator.bit_length()) for q in numbers),
+               default=0)
+
+
+def _bounded(value: Result, start: int, end: int) -> Result:
+    if _bits(value) > MAX_BITS:
+        raise ExprError(f"value too large: a numerator or denominator exceeds {MAX_BITS} bits",
+                        start, end)
+    return value
 
 
 class _Parser:
@@ -109,7 +134,7 @@ class _Parser:
 
     def _element(self, value: Result, tok: Token) -> FieldElement:
         if isinstance(value, FieldElement):
-            return value
+            return _bounded(value, tok.start, tok.end)
         what = "charpoly" if isinstance(value, PolyResult) else "pos"
         raise ExprError(f"result of {what}(...) cannot be used in arithmetic",
                         tok.start, tok.end)
@@ -119,7 +144,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "end":
             raise ExprError(f"unexpected trailing '{tok.text}'", tok.start, tok.end)
-        return value
+        return _bounded(value, 0, tok.start)
 
     def expr(self) -> Result:
         tok = self.peek()
@@ -167,6 +192,11 @@ class _Parser:
             exponent = sign * int(exp_tok.text)
             if exponent < 0 and not base:
                 raise ExprError("zero has no inverse", caret.start, exp_tok.end)
+            # A b-bit integer's e-th power has more than e*(b-1) bits; only 0
+            # and +-1 stay small.  Refusing up front keeps the work bounded.
+            if base not in (0, 1, -1) and abs(exponent) * max(1, _bits(base) - 1) > MAX_BITS:
+                raise ExprError(f"power too large: the result would exceed {MAX_BITS} bits",
+                                caret.start, exp_tok.end)
             value = base ** exponent
         return value
 
@@ -201,7 +231,10 @@ class _Parser:
 
 
 def evaluate(field: MultiquadField, source: str) -> Result:
-    return _Parser(field, tokenize(source)).parse()
+    try:
+        return _Parser(field, tokenize(source)).parse()
+    except RecursionError:
+        raise ExprError("expression nested too deeply", 0, len(source)) from None
 
 
 def format_rational(q: Fraction) -> str:

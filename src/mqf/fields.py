@@ -16,7 +16,6 @@ subfield tower (:func:`_exact_signs`).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Collection, Iterable, Mapping, Sequence
@@ -91,40 +90,6 @@ ROOT_BITS = 64
 def _root_table(radicands: Iterable[int], bits: int) -> tuple[int, ...]:
     """r_I = isqrt(p_I * 4^bits), so r_I <= sqrt(p_I) * 2^bits < r_I + 1."""
     return tuple(isqrt(p << 2 * bits) for p in radicands)
-
-
-@dataclass(frozen=True)
-class EmbeddingSigns:
-    """A real embedding, recorded as the sign it gives each generator sqrt(p_i)."""
-
-    signs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(s not in (-1, 1) for s in self.signs):
-            raise ValueError("embedding signs must be +1 or -1")
-
-    @classmethod
-    def from_mask(cls, k: int, mask: int) -> EmbeddingSigns:
-        return cls(tuple(-1 if mask >> i & 1 else 1 for i in range(k)))
-
-    @classmethod
-    def identity(cls, k: int) -> EmbeddingSigns:
-        return cls((1,) * k)
-
-    @property
-    def mask(self) -> int:
-        return sum(1 << i for i, s in enumerate(self.signs) if s < 0)
-
-    def sign_on_subset(self, subset_mask: int) -> int:
-        """Induced sign on sqrt(p_I): product of the generator signs in I."""
-        return -1 if (self.mask & subset_mask).bit_count() % 2 else 1
-
-    def compose(self, other: EmbeddingSigns) -> EmbeddingSigns:
-        return EmbeddingSigns.from_mask(len(self.signs), self.mask ^ other.mask)
-
-
-def _as_mask(embedding: EmbeddingSigns | int) -> int:
-    return embedding.mask if isinstance(embedding, EmbeddingSigns) else embedding
 
 
 class MultiquadField:
@@ -212,9 +177,6 @@ class MultiquadField:
         )
 
     # -- embeddings ---------------------------------------------------------
-
-    def embeddings(self) -> list[EmbeddingSigns]:
-        return [EmbeddingSigns.from_mask(self.k, m) for m in range(self.degree)]
 
     def embedding_matrix(self) -> np.ndarray:
         """float64 matrix M with M[s, I] = (sign of sqrt(p_I) under s) * sqrt(p_I)."""
@@ -305,27 +267,12 @@ def make_field(primes: list[int] | tuple[int, ...]) -> MultiquadField:
     return MultiquadField(tuple(entries), tuple(radicands))
 
 
-def _mul_dicts(field: MultiquadField, a: Mapping[int, Fraction],
-               b: Mapping[int, Fraction]) -> dict[int, Fraction]:
+def _mul_dicts(field: MultiquadField, a: Mapping[int, RationalLike],
+               b: Mapping[int, RationalLike]) -> dict[int, RationalLike]:
+    """Sparse product over the sqrt(p_I) basis.  Integer coefficients stay
+    integers, which spares the exact-sign and norm loops Fraction overhead."""
     mult = field.mult
-    out: dict[int, Fraction] = {}
-    for i, ca in a.items():
-        row = mult[i]
-        for j, cb in b.items():
-            target = i ^ j
-            term = ca * cb * row[j]
-            if target in out:
-                out[target] += term
-            else:
-                out[target] = term
-    return {m: c for m, c in out.items() if c}
-
-
-def _mul_int_dicts(field: MultiquadField, a: Mapping[int, int],
-                   b: Mapping[int, int]) -> dict[int, int]:
-    """Integer-coefficient product; avoids Fraction overhead on hot paths."""
-    mult = field.mult
-    out: dict[int, int] = {}
+    out: dict[int, RationalLike] = {}
     for i, ca in a.items():
         row = mult[i]
         for j, cb in b.items():
@@ -386,8 +333,8 @@ def _exact_signs(field: MultiquadField, n: Mapping[int, int], smasks: Collection
         else:
             mixed.append(s)
     if mixed:
-        w = _mul_int_dicts(field, u, u)
-        for m, c in _mul_int_dicts(field, v, v).items():
+        w = _mul_dicts(field, u, u)
+        for m, c in _mul_dicts(field, v, v).items():
             w[m] = w.get(m, 0) - field.radicands[top] * c
         sw = _exact_signs(field, w, {s & low for s in mixed}, level - 1)
         for s in mixed:
@@ -542,8 +489,8 @@ class FieldElement:
 
     # -- Galois action and invariants ----------------------------------------
 
-    def conjugate(self, embedding: EmbeddingSigns | int) -> FieldElement:
-        smask = _as_mask(embedding)
+    def conjugate(self, smask: int) -> FieldElement:
+        """sigma_s(x), where embedding s negates sqrt(p_{i+1}) for each bit i of s."""
         out = {}
         for mask, c in self.coeffs.items():
             out[mask] = -c if (smask & mask).bit_count() % 2 else c
@@ -560,7 +507,7 @@ class FieldElement:
         prod = {0: 1}
         for smask in range(field.degree):
             conj = {m: -c if (smask & m).bit_count() & 1 else c for m, c in n.items()}
-            prod = _mul_int_dicts(field, prod, conj)
+            prod = _mul_dicts(field, prod, conj)
         for mask in prod:
             if mask != 0:
                 raise NonRationalNormError(
@@ -591,9 +538,8 @@ class FieldElement:
 
     # -- order and sign decisions ----------------------------------------------
 
-    def sign_at(self, embedding: EmbeddingSigns | int) -> int:
+    def sign_at(self, smask: int) -> int:
         """Exact sign of sigma_s(x) in {-1, 0, +1}; no floating point involved."""
-        smask = _as_mask(embedding)
         if not 0 <= smask < self.field.degree:
             raise ValueError(f"embedding mask {smask} out of range for k={self.field.k}")
         return _signs(self.field, self.coeffs, [smask])[0]
@@ -613,12 +559,6 @@ class FieldElement:
         return min(self.signs()) > 0
 
     # -- numeric views -----------------------------------------------------------
-
-    def embedding_floats(self) -> np.ndarray:
-        vec = np.zeros(self.field.degree, dtype=np.float64)
-        for mask, c in self.coeffs.items():
-            vec[mask] = float(c)
-        return self.field.embedding_matrix() @ vec
 
     def embedding_enclosures(self, bits: int = ROOT_BITS) -> list[tuple[Fraction, Fraction]]:
         """Exact rational intervals containing each sigma_s(x), of width

@@ -1,4 +1,4 @@
-"""Algebraic-integer membership, integral bases, and the superset lattice.
+"""Algebraic-integer membership and the superset lattice.
 
 The ring of integers O_K is only ever needed in two sound approximations:
 
@@ -6,9 +6,6 @@ The ring of integers O_K is only ever needed in two sound approximations:
 * an enclosing lattice (1/2^k) Z[sqrt(p_I)] with per-coordinate bounds
   (``superset_lattice_box``), which contains every algebraic integer whose
   embeddings are bounded, so enumerating it is exhaustive.
-
-For biquadratic fields an explicit integral basis is produced, either from the
-classified residue table or from a verified coset-saturation search.
 """
 
 from __future__ import annotations
@@ -19,13 +16,9 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .errors import ScanOverflowError, WrongDegreeError
-from .fields import FieldElement, MultiquadField, _mul_int_dicts
+from .errors import ScanOverflowError
+from .fields import FieldElement, MultiquadField, _mul_dicts
 from .kernels import BoxScan, embedding_margin, scan_box
-
-
-def _int_conjugate(coeffs: dict[int, int], smask: int) -> dict[int, int]:
-    return {m: (-c if (smask & m).bit_count() % 2 else c) for m, c in coeffs.items()}
 
 
 def _scaled_char_poly(field: MultiquadField, coords: list[int]) -> list[int]:
@@ -37,12 +30,12 @@ def _scaled_char_poly(field: MultiquadField, coords: list[int]) -> list[int]:
     base = {m: c for m, c in enumerate(coords) if c}
     poly: list[dict[int, int]] = [{0: 1}]
     for smask in range(field.degree):
-        conj = _int_conjugate(base, smask)
+        conj = {m: -c if (smask & m).bit_count() & 1 else c for m, c in base.items()}
         nxt: list[dict[int, int]] = [{} for _ in range(len(poly) + 1)]
         for deg, coeff in enumerate(poly):
             for m, c in coeff.items():
                 nxt[deg + 1][m] = nxt[deg + 1].get(m, 0) + c
-            for m, c in _mul_int_dicts(field, coeff, conj).items():
+            for m, c in _mul_dicts(field, coeff, conj).items():
                 nxt[deg][m] = nxt[deg].get(m, 0) - c
         poly = nxt
     out = []
@@ -128,129 +121,6 @@ def is_algebraic_integer(x: FieldElement) -> bool:
             power *= scale
         return bool(table[idx])
     return _charpoly_integral(x.field, coords, den)
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
-def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
-    """Row Hermite normal form of the lattice generated by ``rows``.
-
-    Returns one row per pivot column, pivots positive, entries above each
-    pivot reduced into [0, pivot).  For a full-rank lattice in Z^n this is the
-    canonical upper-triangular basis.
-    """
-    work = [list(r) for r in rows if any(r)]
-    n = len(rows[0])
-    result: list[list[int]] = []
-    for col in range(n):
-        nz = [r for r in work if r[col]]
-        work = [r for r in work if not r[col]]
-        if not nz:
-            continue
-        piv = nz[0]
-        for r in nz[1:]:
-            a, b = piv[col], r[col]
-            g, u, v = _ext_gcd(a, b)
-            new_piv = [u * x + v * y for x, y in zip(piv, r)]
-            other = [(a // g) * y - (b // g) * x for x, y in zip(piv, r)]
-            piv = new_piv
-            if any(other):
-                work.append(other)
-        if piv[col] < 0:
-            piv = [-x for x in piv]
-        result.append(piv)
-    # Reduce entries above each pivot, left pivot first: a reduction only
-    # touches columns at or right of its pivot, so earlier columns stay fixed.
-    for i in range(len(result)):
-        pc = next(j for j, v in enumerate(result[i]) if v)
-        for upper in result[:i]:
-            q = upper[pc] // result[i][pc]
-            if q:
-                for j in range(len(upper)):
-                    upper[j] -= q * result[i][j]
-    return result
-
-
-@dataclass(frozen=True)
-class IntegralBasis:
-    field: MultiquadField
-    basis: tuple[FieldElement, ...]
-
-    def to_json(self) -> list:
-        return [b.to_json() for b in self.basis]
-
-
-def _saturate_biquadratic(field: MultiquadField) -> list[list[int]]:
-    """HNF basis (rows scaled by 4) of O_K for any biquadratic field.
-
-    Every element of O_K has coordinates in (1/4)Z, so O_K is generated by
-    Z[sqrt(p_I)] together with the integral representatives of the finitely
-    many cosets (e/4 with e in {0..3}^4).  Enumerating all 256 representatives
-    and saturating is therefore provably exhaustive.
-    """
-    gens = [[4 if j == i else 0 for j in range(4)] for i in range(4)]
-    for e0 in range(4):
-        for e1 in range(4):
-            for e2 in range(4):
-                for e3 in range(4):
-                    coords = [e0, e1, e2, e3]
-                    if coords == [0, 0, 0, 0]:
-                        continue
-                    x = field.from_scaled(coords, 4)
-                    if is_algebraic_integer(x):
-                        gens.append(coords)
-    return hnf_rows(gens)
-
-
-def _lattice_of(field: MultiquadField, elements: list[FieldElement]) -> list[list[int]]:
-    scale = 1 << field.k
-    rows = []
-    for b in elements:
-        den, coords = b.scaled_coords()
-        rows.append([c * (scale // den) for c in coords])
-    return hnf_rows(rows)
-
-
-def biquadratic_basis(field: MultiquadField) -> IntegralBasis:
-    """Integral basis of a biquadratic field, classified by residues mod 4.
-
-    The two residue classes with textbook bases are returned in their explicit
-    form (and verified against the saturation lattice); every other class
-    falls back to the saturated basis itself, which is exact by construction.
-    """
-    if field.k != 2:
-        raise WrongDegreeError(f"biquadratic basis needs k=2, got k={field.k}")
-    sat = _saturate_biquadratic(field)
-    d1, d2, d3 = field.radicands[1], field.radicands[2], field.radicands[3]
-    table: list[FieldElement] | None = None
-    residues = sorted(d % 4 for d in (d1, d2, d3))
-    if residues == [1, 1, 1]:
-        half_a = (field.one() + field.sqrt_term(d1)) / 2
-        half_b = (field.one() + field.sqrt_term(d2)) / 2
-        table = [field.one(), half_a, half_b, half_a * half_b]
-    elif residues == [2, 2, 3]:
-        p = next(d for d in (d1, d2, d3) if d % 4 == 3)
-        q, r = sorted(d for d in (d1, d2, d3) if d % 4 == 2)
-        table = [
-            field.one(),
-            field.sqrt_term(p),
-            field.sqrt_term(q),
-            (field.sqrt_term(q) + field.sqrt_term(r)) / 2,
-        ]
-    if table is not None and all(is_algebraic_integer(b) for b in table) \
-            and _lattice_of(field, table) == sat:
-        return IntegralBasis(field, tuple(table))
-    return IntegralBasis(field, tuple(field.from_scaled(row, 4) for row in sat))
 
 
 @dataclass(frozen=True)

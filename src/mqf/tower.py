@@ -21,12 +21,11 @@ from fractions import Fraction
 from math import gcd
 from typing import Mapping
 
-from .certifier import DEFAULT_PAIR_BUDGET, Certificate, WitnessSet, certify_witness_set
-from .cf import search_witnesses
+from .certifier import (DEFAULT_PAIR_BUDGET, Certificate, WitnessSet, certify_witness_set,
+                        verify_certificate)
+from .cf import DEFAULT_TRACE_BOUND, search_witnesses
 from .errors import BaseWitnessNotFoundError, MqfError, WitnessNotFoundError
 from .fields import MultiquadField, is_squarefree, json_object, json_value, make_field
-
-DEFAULT_TRACE_BOUND = 1000
 
 
 @dataclass(frozen=True)
@@ -258,8 +257,6 @@ def verify_tower(data: Mapping, *, jobs: int = 1) -> list[str]:
     integer arithmetic, re-checks the lift chain (same coefficients, traces
     doubled per level) and the final claim.  Returns mismatch descriptions.
     """
-    from .certifier import verify_certificate  # local import to stay cycle-free
-
     problems: list[str] = []
     tower = Tower.from_json(data)
     base_problems = verify_certificate(data["base"]["certificate"], jobs=jobs)

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mqf.fields import make_field
-from mqf.integers import biquadratic_basis
+from mqf.integers import integral_residue_table
 
 
 @pytest.fixture(scope="session")
@@ -51,19 +52,17 @@ def random_integer_element(field, rng: random.Random, spread: int = 6):
     return field.element({m: rng.randint(-spread, spread) for m in range(field.degree)})
 
 
-_BASIS_CACHE = {}
-
-
 def random_ok_element(field, rng: random.Random, spread: int = 4):
-    """Random element of O_K via integral-basis combinations (k = 2 only)."""
-    basis = _BASIS_CACHE.get(field.primes)
-    if basis is None:
-        basis = biquadratic_basis(field).basis
-        _BASIS_CACHE[field.primes] = basis
-    out = field.zero()
-    for b in basis:
-        out = out + rng.randint(-spread, spread) * b
-    return out
+    """Random element of O_K (k <= 2): a random integral residue class of
+    (1/2^k) Z[sqrt(p_I)] mod Z[sqrt(p_I)], plus 2^k times random integers
+    in [-spread, spread] on the 2^k-scaled coordinates."""
+    scale = 1 << field.k
+    idx = rng.choice(np.flatnonzero(integral_residue_table(field)).tolist())
+    coords = []
+    for _ in range(field.degree):
+        coords.append(idx % scale + scale * rng.randint(-spread, spread))
+        idx //= scale
+    return field.from_scaled(coords, scale)
 
 
 def shift_totally_positive(x):
@@ -77,9 +76,9 @@ def shift_totally_positive(x):
     return y
 
 
-def random_tp_integer(field, rng: random.Random, spread: int = 6, use_basis: bool = False):
+def random_tp_integer(field, rng: random.Random, spread: int = 6, use_residues: bool = False):
     """Random totally positive algebraic integer, via an exact positive shift."""
-    if use_basis and field.k == 2:
+    if use_residues and field.k == 2:
         x = random_ok_element(field, rng, spread)
     else:
         x = random_integer_element(field, rng, spread)

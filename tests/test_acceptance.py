@@ -84,7 +84,7 @@ def test_criterion_2_trace_lower_bounds():
     for primes in biquadratic:
         field = make_field(primes)
         for _ in range(1000):
-            x = random_tp_integer(field, rng, spread=5, use_basis=True)
+            x = random_tp_integer(field, rng, spread=5, use_residues=True)
             assert trace_bound_holds(x)
             checked += 1
     for primes in triquadratic:
@@ -100,7 +100,7 @@ def test_criterion_2_trace_lower_bounds():
         q, r = sorted(d for d in field.radicands[1:] if d % 4 == 2)
         floor_sq = min(16 * p, 4 * q, 4 * r)
         for _ in range(1000):
-            x = random_tp_integer(field, rng, spread=5, use_basis=True)
+            x = random_tp_integer(field, rng, spread=5, use_residues=True)
             t = x.trace()
             assert t * t > floor_sq
             sharpened += 1

@@ -165,6 +165,34 @@ def test_parallel_jobs_match_serial():
     assert serial.to_json() == parallel.to_json()
 
 
+@pytest.mark.parametrize("jobs, cpus, workers", [
+    (100_000, 4, 3), (2, 4, 2), (100_000, 2, 2), (100_000, None, None), (1, 4, None),
+])
+def test_pool_is_capped(q2, monkeypatch, jobs, cpus, workers):
+    # at most one worker per pair and per CPU; a stand-in pool starts no process
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr("mqf.certifier.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    elements = [q2.one(), q2.rational(2), q2.rational(3)]
+    cert = certify_witness_set(elements, jobs=jobs)
+    assert sizes == ([] if workers is None else [workers])
+    assert cert.to_json() == certify_witness_set(elements).to_json()
+
+
 def test_certificate_json_roundtrip():
     ws = search_witnesses(15, 2, trace_bound=60)
     cert = ws.certificate

@@ -180,35 +180,47 @@ def test_cli_tower_deep_verify(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("argv, env", [
-    (["cf", "--D", "19", "--convergents", "-1"], {}),
-    (["witness", "--N", "0", "--D", "15"], {}),
-    (["tower", "--D", "55", "--N", "3", "--k", "0"], {}),
-    (["witness", "--N", "2", "--D", "15"], {"MQF_BUDGET": "abc"}),
-], ids=["convergents", "N", "k", "MQF_BUDGET"])
-def test_cli_bad_input_exit_3(argv, env, monkeypatch):
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
+def _nested(inner: str) -> str:
+    return "(" * 3000 + inner + ")" * 3000
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["cf", "--D", "19", "--convergents", "-1"], "positive integer"),
+    (["witness", "--N", "0", "--D", "15"], "positive integer"),
+    (["tower", "--D", "55", "--N", "3", "--k", "0"], "positive integer"),
+    (["certify", "--in", "w.json", "--jobs", "0"], "positive integer"),
+    (["elem", "--field", "2", "--expr", _nested("1")], "nested too deeply"),
+    (["indec", "--field", "2", "--elem", _nested("3")], "nested too deeply"),
+    (["elem", "--field", "2", "--expr", "0" + "-" * 5000 + "1"], "nested too deeply"),
+    (["elem", "--field", "2", "--expr", "7" * 5000], "more than 3000 digits"),
+    (["elem", "--field", "2", "--expr", "s" + "7" * 5000], "more than 3000 digits"),
+    (["elem", "--field", "2", "--expr", "(10^3000)^2"], "too large"),
+    (["elem", "--field", "2", "--expr", "s2^99999999"], "too large"),
+    (["elem", "--field", "2", "--expr", "10^3000*10^3000"], "too large"),
+    (["elem", "--field", "2", "--expr", "\u00b2"], "unexpected character"),  # superscript 2
+], ids=["convergents", "N", "k", "jobs", "elem-parens", "indec-parens", "elem-minus",
+        "elem-literal", "elem-sqrt-literal", "elem-square", "elem-power", "elem-product",
+        "elem-superscript"])
+def test_cli_bad_input_exit_3(argv, message):
     out = subprocess.run([sys.executable, "-m", "mqf.cli", *argv],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, timeout=60)
     assert out.returncode == 3
     assert "Traceback" not in out.stderr
     assert len(out.stderr.strip().splitlines()) == 1
-    assert "positive integer" in out.stderr
+    assert message in out.stderr
 
 
-def test_cli_budget_env_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("MQF_BUDGET", "10")
+def test_cli_budget_flag_limits_certify(tmp_path, capsys):
     # certification of (1,1)-style fat pair in Q(sqrt 2) cannot finish in 10 points
     wfile = tmp_path / "w.json"
     ws = {"field": {"primes": [2]},
           "elements": [{"coeffs": {"0": "9/1"}}, {"coeffs": {"0": "9/1", "1": "1/1"}}],
           "certificate": None}
     wfile.write_text(json.dumps(ws))
-    code = run_cli("certify", "--in", str(wfile), "--out", str(tmp_path / "c.json"))
+    code = run_cli("certify", "--in", str(wfile), "--budget", "10",
+                   "--out", str(tmp_path / "c.json"))
     capsys.readouterr()
     assert code in (1, 2)  # violation found fast (exit 1) or budget stop (exit 2)
-    monkeypatch.delenv("MQF_BUDGET")
 
 
 def test_cli_missing_file_exit_3(capsys):

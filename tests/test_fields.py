@@ -13,7 +13,7 @@ from mqf.errors import (
     NotSquarefreeError,
     PairwiseCoprimeError,
 )
-from mqf.fields import EmbeddingSigns, _exact_signs, _scaled, make_field, squarefree_part
+from mqf.fields import _exact_signs, _scaled, make_field, squarefree_part
 
 
 # ---------------------------------------------------------------------------
@@ -132,12 +132,12 @@ def test_inverse_and_division(q2):
 
 def test_conjugate_pattern(q23):
     x = q23.element({0: 1, 1: 1, 2: 1, 3: 1})
-    # flip sqrt(3) only: signs (+, -) => mask 2
-    conj = x.conjugate(EmbeddingSigns((1, -1)))
+    # flip sqrt(3) only: mask 2
+    conj = x.conjugate(2)
     assert conj == q23.element({0: 1, 1: 1, 2: -1, 3: -1})
-    assert x.conjugate(EmbeddingSigns.identity(2)) == x
+    assert x.conjugate(0) == x
     s6 = q23.sqrt_term(6)
-    assert s6.conjugate(EmbeddingSigns((-1, -1))) == s6
+    assert s6.conjugate(3) == s6
 
 
 def test_conjugation_is_automorphism(q23, q235):
@@ -261,7 +261,7 @@ def test_sign_examples(q2, q23):
 
 def test_sign_at_rejects_out_of_range_mask(q23):
     x = q23.one() + q23.sqrt_term(2)
-    for bad in (4, 7, -1, EmbeddingSigns((1, 1, -1))):
+    for bad in (4, 7, -1):
         with pytest.raises(ValueError):
             x.sign_at(bad)
     assert [x.sign_at(s) for s in range(4)] == x.signs() == [1, -1, 1, -1]
@@ -405,14 +405,6 @@ def test_element_json_roundtrip(q23):
         for key, val in data["coeffs"].items():
             assert "/" in val and key.isdigit()
         assert q23.element_from_json(data) == x
-
-
-def test_embedding_signs_invariant():
-    s = EmbeddingSigns((1, -1, -1))
-    assert s.mask == 0b110
-    assert s.sign_on_subset(0b110) == 1  # product of two minus signs
-    assert s.sign_on_subset(0b100) == -1
-    assert EmbeddingSigns.from_mask(3, s.mask) == s
 
 
 def test_sign_exact_beats_float_cancellation(q2):

@@ -44,7 +44,7 @@ def test_trace_bound_random_sample(q23):
     rng = random.Random(41)
     for field in fields:
         for _ in range(150):
-            x = random_tp_integer(field, rng, use_basis=True)
+            x = random_tp_integer(field, rng, use_residues=True)
             assert trace_bound_holds(x)
             assert trace_exceeds_min_radicand(x)
 
@@ -58,7 +58,7 @@ def test_sharpened_bound_in_3_2_2_class():
         q, r = sorted(d for d in field.radicands[1:] if d % 4 == 2)
         floor_sq = min(16 * p, 4 * q, 4 * r)
         for _ in range(150):
-            x = random_tp_integer(field, rng, use_basis=True)
+            x = random_tp_integer(field, rng, use_residues=True)
             t = x.trace()
             assert t * t > floor_sq
 

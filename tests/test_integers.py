@@ -1,16 +1,13 @@
 import random
 from fractions import Fraction
-from itertools import product
 from math import isqrt
 
+import numpy as np
 import pytest
 
 from conftest import random_element, random_ok_element, random_tp_integer
-from mqf.errors import WrongDegreeError
 from mqf.fields import make_field
 from mqf.integers import (
-    biquadratic_basis,
-    hnf_rows,
     integral_residue_table,
     is_algebraic_integer,
     superset_lattice_box,
@@ -74,90 +71,14 @@ def test_residue_table_matches_oracle(q23):
         assert bool(table[idx]) == all(c.denominator == 1 for c in x.char_poly())
 
 
-# ---------------------------------------------------------------------------
-# biquadratic integral bases
-# ---------------------------------------------------------------------------
-
-def test_basis_table_case_3_mod_4(q32):
-    basis = biquadratic_basis(q32).basis
-    expect = [
-        q32.one(),
-        q32.sqrt_term(3),
-        q32.sqrt_term(2),
-        (q32.sqrt_term(2) + q32.sqrt_term(6)) / 2,
-    ]
-    assert list(basis) == expect
-
-
-def test_basis_table_case_1_mod_4():
-    f = make_field([5, 13])
-    half5 = (f.one() + f.sqrt_term(5)) / 2
-    half13 = (f.one() + f.sqrt_term(13)) / 2
-    assert list(biquadratic_basis(f).basis) == [f.one(), half5, half13, half5 * half13]
-
-
-def test_basis_fallback_is_saturated():
-    # p=5, q=2 is in neither table class: the verified search must return a
-    # basis of maximal index among integral lattices in the (1/4)-grid.
-    f = make_field([5, 2])
-    basis = biquadratic_basis(f)
-    lattice = [row for row in _scaled_rows(f, basis.basis)]
-    for combo in product(range(4), repeat=4):
-        if not any(combo):
-            continue
-        x = f.from_scaled(list(combo), 4)
-        if is_algebraic_integer(x):
-            assert _in_lattice(lattice, list(combo)), combo
-
-
-def _scaled_rows(field, elements):
-    rows = []
-    for e in elements:
-        den, coords = e.scaled_coords()
-        rows.append([c * (4 // den) for c in coords])
-    return hnf_rows(rows)
-
-
-def _in_lattice(hnf, vec):
-    v = list(vec)
-    for row in hnf:
-        pc = next(i for i, x in enumerate(row) if x)
-        if v[pc] % row[pc] != 0:
-            return False
-        q = v[pc] // row[pc]
-        v = [a - q * b for a, b in zip(v, row)]
-    return not any(v)
-
-
-@pytest.mark.parametrize("primes", [[2, 3], [5, 13], [5, 2], [6, 10], [3, 7], [13, 17], [2, 7]])
-def test_basis_elements_and_products_integral(primes):
-    f = make_field(primes)
-    basis = biquadratic_basis(f).basis
-    assert len(basis) == 4
-    for e in basis:
-        assert is_algebraic_integer(e)
-    for a in basis:
-        for b in basis:
-            assert is_algebraic_integer(a * b)
-    # change of basis from the sqrt(p_I) basis is invertible
-    rows = _scaled_rows(f, basis)
-    det = 1
-    for i, row in enumerate(rows):
-        det *= row[i]
-    assert det != 0
-
-
-def test_basis_requires_k2(q2):
-    with pytest.raises(WrongDegreeError):
-        biquadratic_basis(q2)
-
-
-def test_hnf_canonical():
-    rows = [[4, 0, 0, 0], [0, 4, 0, 0], [0, 0, 4, 0], [0, 0, 0, 4], [1, 1, 1, 1]]
-    out = hnf_rows(rows)
-    assert out == [[1, 1, 1, 1], [0, 4, 0, 0], [0, 0, 4, 0], [0, 0, 0, 4]]
-    # invariance under generator order and redundancy
-    assert hnf_rows(rows[::-1] + [[2, 2, 2, 2]]) == out
+@pytest.mark.parametrize("primes", [[2, 3], [5, 13], [3, 2]])
+def test_random_ok_element_reaches_beyond_the_order(primes):
+    # the generator draws from all of O_K, not only from Z[sqrt(p_I)]
+    field = make_field(primes)
+    rng = random.Random(35)
+    samples = [random_ok_element(field, rng) for _ in range(200)]
+    assert all(is_algebraic_integer(x) for x in samples)
+    assert any(x.scaled_coords()[0] > 1 for x in samples)
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +111,7 @@ def test_box_example_k2(q23):
     import itertools
     mat = q23.embedding_matrix()
     for coords in itertools.product(range(-12, 13), repeat=2):
-        x = q23.element({0: coords[0], 3: coords[1]})
-        vals = x.embedding_floats()
+        vals = mat @ np.array([coords[0], 0, 0, coords[1]], dtype=np.float64)
         if max(abs(v) for v in vals) <= 9.99:
             assert abs(coords[0]) <= box.bounds[0]
             assert abs(coords[1]) <= box.bounds[3]
@@ -219,7 +139,7 @@ def test_box_rejects_negative_bounds(q2):
 def test_trace_simplex_box_contains_tp_integers(q23):
     rng = random.Random(34)
     for _ in range(300):
-        x = random_tp_integer(q23, rng, spread=4, use_basis=True)
+        x = random_tp_integer(q23, rng, spread=4, use_residues=True)
         t = x.trace()
         assert t.denominator == 1
         box = trace_simplex_box(q23, int(t))
