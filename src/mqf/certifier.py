@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError, FieldMismatchError, MqfError
-from .fields import FieldElement, MultiquadField, json_object, json_value, make_field
+from .fields import FieldElement, MultiquadField, json_object, json_value
 from .indecomposables import require_totally_positive_integer
 from .integers import is_algebraic_integer, superset_lattice_box
 from .kernels import scan_box
@@ -261,16 +261,9 @@ def pair_condition_certify(a: FieldElement, b: FieldElement, *, i: int = 0, j: i
     return verdict
 
 
-def _certify_pair_worker(args):
-    primes, a_json, b_json, i, j, budget = args
-    field = make_field(list(primes))
-    a = field.element_from_json(a_json)
-    b = field.element_from_json(b_json)
-    try:
-        verdict = pair_condition_certify(a, b, i=i, j=j, budget=budget)
-        return ("ok", verdict.to_json())
-    except BudgetExceededError as exc:
-        return ("budget", (exc.points_scanned, exc.points_required, f"pair ({i},{j})"))
+def _certify_pair(task) -> PairVerdict:
+    a, b, i, j, budget = task
+    return pair_condition_certify(a, b, i=i, j=j, budget=budget)
 
 
 def certify_witness_set(witnesses: WitnessSet | Sequence[FieldElement],
@@ -293,32 +286,15 @@ def certify_witness_set(witnesses: WitnessSet | Sequence[FieldElement],
         if e.field != field:
             raise FieldMismatchError("witnesses live in different fields")
         require_totally_positive_integer(e, "witness")
-    index_pairs = [(i, j) for i in range(len(elements)) for j in range(i + 1, len(elements))]
+    tasks = [(elements[i], elements[j], i, j, budget)
+             for i in range(len(elements)) for j in range(i + 1, len(elements))]
     # The pool starts every worker at once, so ask for no more than can work.
-    workers = min(jobs, len(index_pairs), os.cpu_count() or 1)
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
-        tasks = [
-            (field.primes, elements[i].to_json(), elements[j].to_json(), i, j, budget)
-            for i, j in index_pairs
-        ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_certify_pair_worker, tasks))
-        verdicts = []
-        for status, payload in results:
-            if status == "budget":
-                scanned, required, what = payload
-                raise BudgetExceededError(scanned, required, what)
-            p = payload
-            verdicts.append(PairVerdict(
-                i=p["i"], j=p["j"], holds=p["holds"],
-                violating_c=(field.element_from_json(p["c"]) if p["c"] is not None else None),
-                points_scanned=p["scanned"], near_misses=p["near_misses"],
-            ))
+            verdicts = list(pool.map(_certify_pair, tasks))
     else:
-        verdicts = [
-            pair_condition_certify(elements[i], elements[j], i=i, j=j, budget=budget)
-            for i, j in index_pairs
-        ]
+        verdicts = list(map(_certify_pair, tasks))
     all_hold = all(v.holds for v in verdicts)
     return Certificate(
         field=field,

@@ -68,15 +68,20 @@ def _cf_terms(D: int, P: int, Q: int):
         Q = (D - P * P) // Q
 
 
-def cf_expand(D: int) -> CFExpansion:
-    """Exact periodic expansion of sqrt(D) via the integer (P, Q) recurrence."""
+def _require_radicand(D: int) -> None:
+    """Raise unless D is a squarefree integer >= 2; a square has its own error."""
     if D < 2:
         raise NotSquarefreeError(D, "D")
-    a0 = isqrt(D)
-    if a0 * a0 == D:
+    if isqrt(D) ** 2 == D:
         raise PerfectSquareError(f"{D} is a perfect square")
     if not is_squarefree(D):
         raise NotSquarefreeError(D, "D")
+
+
+def cf_expand(D: int) -> CFExpansion:
+    """Exact periodic expansion of sqrt(D) via the integer (P, Q) recurrence."""
+    _require_radicand(D)
+    a0 = isqrt(D)
     period = []
     q_values = []
     terms = _cf_terms(D, 0, 1)
@@ -211,32 +216,42 @@ def _search_pool(field: MultiquadField, pool: list[FieldElement], n_wanted: int,
     return None, budget_limited
 
 
-def search_witnesses(D: int, N: int, trace_bound: int = DEFAULT_TRACE_BOUND,
-                     *, pair_budget: int = DEFAULT_PAIR_BUDGET) -> WitnessSet:
-    """Find and certify N witnesses in Q(sqrt(D)) from the indecomposable pool.
+def _witnesses_in_field(field: MultiquadField, N: int, trace_bound: int,
+                        pair_budget: int) -> tuple[WitnessSet | None, bool]:
+    """Search the thinned pool of one Q(sqrt(D)) and certify what it finds.
 
-    Raises WitnessNotFoundError when the pool admits no certified set; that is
-    a statement about this D and these bounds only, never a refutation.
+    Returns (certified WitnessSet or None, budget_limited).
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    cf = cf_expand(D)
-    field = make_field([D])
-    pool = quadratic_candidates(cf, trace_bound)
+    pool = _thin_pool(field, trace_bound)
     if len(pool) < N:
-        raise WitnessNotFoundError(
-            f"pool for D={D} has only {len(pool)} indecomposables with trace <= {trace_bound}"
-        )
+        return None, False
     witnesses, budget_limited = _search_pool(field, pool, N, pair_budget)
     if witnesses is None:
-        raise WitnessNotFoundError(
-            f"no certified witness set of size {N} in the pool for D={D} "
-            f"(pool size {len(pool)}, trace bound {trace_bound})",
-            budget_limited=budget_limited,
-        )
+        return None, budget_limited
     cert = certify_witness_set(witnesses, budget=pair_budget)
     assert cert.all_hold, "search returned a set its own certification rejects"
-    return WitnessSet(field, tuple(witnesses), cert)
+    return WitnessSet(field, tuple(witnesses), cert), budget_limited
+
+
+def search_witnesses(D: int, N: int, trace_bound: int = DEFAULT_TRACE_BOUND,
+                     *, pair_budget: int = DEFAULT_PAIR_BUDGET) -> WitnessSet:
+    """Find and certify N witnesses in Q(sqrt(D)): the D-scan over this one D.
+
+    Raises NotSquarefreeError or PerfectSquareError for an unusable D, and
+    WitnessNotFoundError when the pool admits no certified set; that is a
+    statement about this D and these bounds only, never a refutation.
+    """
+    _require_radicand(D)
+    ws, budget_limited = _witnesses_in_field(make_field([D]), N, trace_bound, pair_budget)
+    if ws is None:
+        raise WitnessNotFoundError(
+            f"no certified witness set of size {N} for D={D} "
+            f"among the indecomposables with trace <= {trace_bound}",
+            budget_limited=budget_limited,
+        )
+    return ws
 
 
 def _thin_pool(field: MultiquadField, trace_bound: int) -> list[FieldElement]:
@@ -267,36 +282,20 @@ def scan_for_witnesses(N: int, *, d_limit: int = DEFAULT_SCAN_LIMIT,
                        trace_bound: int = DEFAULT_TRACE_BOUND,
                        pair_budget: int = DEFAULT_PAIR_BUDGET,
                        d_start: int = 2) -> WitnessSet:
-    """Scan D upward until some Q(sqrt(D)) yields a certified N-witness set.
+    """Scan squarefree D upward until some Q(sqrt(D)) yields a certified
+    N-witness set, searching each D as search_witnesses does.
 
-    Per D the candidate pool is pruned by exact necessary conditions (see
-    _thin_pool) and the trace cap escalates to the full trace_bound when a
-    cheap first pass fails, so a D is skipped only when the full-bound pool
-    genuinely admits no certified set.  The returned set is always fully
-    certified.  Raises WitnessNotFoundError if the scan limit is reached.
+    A D is skipped only when its pool up to trace_bound admits no certified
+    set.  Raises WitnessNotFoundError if the scan limit is reached.
     """
     budget_limited = False
     for D in range(max(2, d_start), d_limit + 1):
-        root = isqrt(D)
-        if root * root == D or not is_squarefree(D):
+        if not is_squarefree(D):  # no square D >= 2 is squarefree
             continue
-        field = make_field([D])
-        caps = [min(trace_bound, 8 * root + 16)]
-        if caps[0] < trace_bound:
-            caps.append(trace_bound)
-        witnesses = None
-        for cap in caps:
-            pool = _thin_pool(field, cap)
-            if len(pool) < N:
-                continue
-            witnesses, limited = _search_pool(field, pool, N, pair_budget)
-            budget_limited = budget_limited or limited
-            if witnesses is not None:
-                break
-        if witnesses is not None:
-            cert = certify_witness_set(witnesses, budget=pair_budget)
-            assert cert.all_hold
-            return WitnessSet(field, tuple(witnesses), cert)
+        ws, limited = _witnesses_in_field(make_field([D]), N, trace_bound, pair_budget)
+        if ws is not None:
+            return ws
+        budget_limited = budget_limited or limited
     raise WitnessNotFoundError(
         f"no certified {N}-witness set found for any squarefree D <= {d_limit}",
         budget_limited=budget_limited,

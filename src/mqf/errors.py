@@ -73,10 +73,15 @@ class BudgetExceededError(MqfError):
     def __init__(self, points_scanned: int, points_required: int, what: str = "enumeration"):
         self.points_scanned = points_scanned
         self.points_required = points_required
+        self.what = what
         super().__init__(
             f"{what} budget exhausted: scanned {points_scanned}, "
             f"region has {points_required} lattice points"
         )
+
+    def __reduce__(self):
+        # crosses a process pool as itself, not as a one-argument rebuild
+        return type(self), (self.points_scanned, self.points_required, self.what)
 
 
 class WitnessNotFoundError(MqfError):

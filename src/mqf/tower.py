@@ -217,7 +217,7 @@ def build_tower(D: int, N: int, k: int, *, offsets: list[int] | None = None,
     ``offsets`` picks the (offset+1)-th admissible q at each level, so the
     infinite family of admissible towers is enumerable and every output is
     reproducible.  ``base`` short-circuits the quadratic search when a
-    certified set is already at hand.
+    certified set of Q(sqrt(D)) is already at hand; any other set is refused.
     """
     if k < 1:
         raise ValueError("tower height k must be >= 1")
@@ -230,7 +230,8 @@ def build_tower(D: int, N: int, k: int, *, offsets: list[int] | None = None,
             base = search_witnesses(D, N, trace_bound, pair_budget=pair_budget)
         except WitnessNotFoundError as exc:
             raise BaseWitnessNotFoundError(str(exc), budget_limited=exc.budget_limited)
-    assert base.certificate is not None
+    elif base.field.primes != (D,) or not base.certified:
+        raise MqfError(f"base is not a certified witness set of Q(sqrt({D}))")
     current = base
     steps = []
     for level in range(k - 1):

@@ -201,7 +201,7 @@ def test_criterion_6_tower_construction(tmp_path):
     start = time.time()
     ws = _FOUND.get("n3") or scan_for_witnesses(3, d_limit=10**5, trace_bound=10**3)
     D = ws.field.radicands[1]
-    towers = {k: build_tower(D, 3, k, base=ws) for k in (2, 3)}
+    towers = {k: build_tower(D, 3, k) for k in (2, 3)}
     for k, tower in towers.items():
         assert tower.field.k == k
         assert all(step.constraints_hold() for step in tower.steps)

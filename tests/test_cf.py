@@ -4,8 +4,11 @@ from math import isqrt
 
 import pytest
 
-from mqf.certifier import WitnessSet, verify_certificate
+from mqf.certifier import DEFAULT_PAIR_BUDGET, WitnessSet, verify_certificate
 from mqf.cf import (
+    DEFAULT_TRACE_BOUND,
+    _search_pool,
+    _thin_pool,
     cf_expand,
     convergents,
     quadratic_candidates,
@@ -180,6 +183,26 @@ def test_witness_set_roundtrip_recertifies():
     assert back.elements == ws.elements
     assert not verify_certificate(json.loads(blob)["certificate"])
     assert json.dumps(back.to_json(), sort_keys=True) == blob
+
+
+def test_search_agrees_with_a_cheap_first_pass():
+    # The D-scan once searched a pool capped at trace 8*isqrt(D) + 16 before
+    # the full bound.  That pass is gone; wherever it found a set, the single
+    # full-bound search returns the same one.
+    agreed = 0
+    for D in range(2, 300):
+        if not is_squarefree(D):
+            continue
+        field = make_field([D])
+        cheap = _thin_pool(field, min(DEFAULT_TRACE_BOUND, 8 * isqrt(D) + 16))
+        for N in (2, 3):
+            found = None
+            if len(cheap) >= N:
+                found, _ = _search_pool(field, cheap, N, DEFAULT_PAIR_BUDGET)
+            if found is not None:
+                assert search_witnesses(D, N).elements == tuple(found), (D, N)
+                agreed += 1
+    assert agreed >= 90
 
 
 def test_scan_finds_n2_quickly():

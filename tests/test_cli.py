@@ -145,6 +145,33 @@ def test_cli_witness_not_found_exit_1(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("D", ["1", "12", "16"])
+def test_cli_witness_bad_D_exit_3(D, capsys):
+    # an unusable D is an input error, not an empty search
+    assert run_cli("witness", "--N", "2", "--D", D) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not found" not in err
+
+
+def test_cli_verify_witness_set_with_bad_element_exit_1(tmp_path, capsys):
+    # an element edited to a non-totally-positive value fails verification,
+    # whether or not the certificate's witness is edited to match
+    wfile = tmp_path / "witness.json"
+    assert run_cli("witness", "--N", "2", "--D", "15", "--out", str(wfile)) == 0
+    capsys.readouterr()
+    for edit_certificate in (False, True):
+        data = json.loads(wfile.read_text())
+        data["elements"][1]["coeffs"]["0"] = "-5/1"
+        if edit_certificate:
+            data["certificate"]["witnesses"][1]["coeffs"]["0"] = "-5/1"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert run_cli("verify", str(bad)) == 1
+        err = capsys.readouterr().err
+        assert "FAILED" in err
+        assert ("witness invalid" in err) == edit_certificate
+
+
 def test_cli_deterministic_reruns_byte_identical(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

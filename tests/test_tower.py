@@ -137,6 +137,17 @@ def test_build_tower_base_failure():
         build_tower(2, 6, 2, trace_bound=12)
 
 
+def test_build_tower_given_base_must_be_of_D():
+    base = search_witnesses(55, 3)
+    plain = build_tower(55, 3, 2)
+    assert build_tower(55, 3, 2, base=base).to_json() == plain.to_json()
+    # a base from another field would record a D its bundle cannot verify
+    with pytest.raises(MqfError, match="base is not a certified witness set"):
+        build_tower(15, 3, 2, base=base)
+    with pytest.raises(MqfError, match="base is not a certified witness set"):
+        build_tower(55, 3, 2, base=synthetic_witnesses(base.field, base.elements))
+
+
 def test_tower_deep_verify_synthetic():
     tower = build_tower(15, 2, 2, trace_bound=40, deep_verify=True)
     assert tower.top_certificate is not None
