@@ -2,26 +2,22 @@
 
 The base case of the tower construction lives here: real quadratic fields
 supply the initial witness sets, found by search over the indecomposable pool
-and certified pair by pair.  Nothing is taken on faith at runtime: a returned
-WitnessSet always carries its own enumeration certificate.
+with an exact relative-minima screen and then certified pair by pair.
+Nothing is taken on faith at runtime: a returned WitnessSet always carries
+its own enumeration certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 
-from .certifier import (
-    DEFAULT_PAIR_BUDGET,
-    WitnessSet,
-    certify_witness_set,
-    pair_condition_certify,
-)
+from .certifier import DEFAULT_PAIR_BUDGET, WitnessSet, certify_witness_set
 from .errors import (
     BudgetExceededError,
     NotSquarefreeError,
     PerfectSquareError,
+    ScreenMismatchError,
     WitnessNotFoundError,
 )
 from .fields import FieldElement, MultiquadField, make_field, is_squarefree
@@ -109,48 +105,61 @@ def convergents(cf: CFExpansion, count: int) -> list[tuple[int, int]]:
     return out
 
 
+def _convergent_chain(D: int):
+    """Yield the scaled coordinates (n0, n1), x = (n0 + n1 sqrt(D))/2, of
+    alpha_n = p_n + q_n omega for n = -1, 0, 1, ...
+
+    Here omega = sqrt(D), or (1 + sqrt(D))/2 when D = 1 mod 4, and p_n/q_n are
+    the convergents of xi = -omega'.  The recurrence alpha_n = a_n alpha_(n-1)
+    + alpha_(n-2) starts from alpha_(-2) = omega and alpha_(-1) = 1.  Up to
+    sign, the alpha_n and their conjugates are the relative minima of O_K
+    (Voronoi), and their larger embeddings p_n + q_n omega increase with n.
+    """
+    if D % 4 == 1:
+        terms = _cf_terms(D, -1, 2)
+        older = (1, 1)
+    else:
+        terms = _cf_terms(D, 0, 1)
+        older = (0, 2)
+    prev = (2, 0)
+    yield prev
+    for a, _ in terms:
+        older, prev = prev, (a * prev[0] + older[0], a * prev[1] + older[1])
+        yield prev
+
+
+def _twice_embedding_floor(D: int, n0: int, n1: int) -> int:
+    # A lower bound on 2*max|sigma(x)| for x = (n0 + n1 sqrt(D))/2, n0 >= 0.
+    return n0 + isqrt(n1 * n1 * D)
+
+
 def _semiconvergent_coords(D: int, trace_bound: int) -> list[tuple[int, int]]:
     """Scaled coordinates (n0, n1), x = (n0 + n1 sqrt(D))/2, of every
     indecomposable of Q(sqrt(D)) with trace n0 <= trace_bound, sorted.
 
-    With xi = -omega' (sqrt(D), or (sqrt(D) - 1)/2 when D = 1 mod 4) and
-    alpha_n = p_n + q_n omega built from the convergents p_n/q_n of xi, the
-    indecomposables are the semiconvergents alpha_i + r alpha_(i+1), odd
-    i >= -1, 0 <= r <= u_(i+2), and their conjugates (Perron; Dress-Scharlau).
-    Every term of a later block has larger embedding >= alpha_(i+2), and the
-    trace of a totally positive element exceeds its larger embedding, so the
-    expansion stops once alpha_(i+2) > trace_bound.
+    The indecomposables are the semiconvergents alpha_i + r alpha_(i+1), odd
+    i >= -1, 0 <= r <= u_(i+2) (so r = u_(i+2) gives alpha_(i+2)), and their
+    conjugates (Perron; Dress-Scharlau).  Every term of a later block has
+    larger embedding >= alpha_(i+2), and the trace of a totally positive
+    element exceeds its larger embedding, so the expansion stops once
+    alpha_(i+2) > trace_bound.
     """
-    if D % 4 == 1:
-        terms = _cf_terms(D, -1, 2)
-
-        def scaled(p, q):
-            return 2 * p + q, q
-    else:
-        terms = _cf_terms(D, 0, 1)
-
-        def scaled(p, q):
-            return 2 * p, 2 * q
-
-    def floor_embedding(p, q):
-        n0, n1 = scaled(p, q)
-        return (n0 + isqrt(n1 * n1 * D)) // 2
-
+    chain = _convergent_chain(D)
     found = set()
-    prev = (1, 0)  # alpha_i, i odd; starts at alpha_(-1) = 1
-    cur = (next(terms)[0], 1)  # alpha_(i+1)
+    prev = next(chain)  # alpha_i, i odd; starts at alpha_(-1) = 1
     while True:
-        u = next(terms)[0]  # u_(i+2)
-        for r in range(u + 1):
-            n0, n1 = scaled(prev[0] + r * cur[0], prev[1] + r * cur[1])
+        cur, nxt = next(chain), next(chain)  # alpha_(i+1), alpha_(i+2)
+        n0, n1 = prev
+        while True:
             if n0 <= trace_bound:
                 found.add((n0, n1))
                 found.add((n0, -n1))
-        prev = (u * cur[0] + prev[0], u * cur[1] + prev[1])  # alpha_(i+2)
-        if floor_embedding(*prev) > trace_bound:
+            if (n0, n1) == nxt:
+                break
+            n0, n1 = n0 + cur[0], n1 + cur[1]
+        if _twice_embedding_floor(D, *nxt) // 2 > trace_bound:
             return sorted(found)
-        u = next(terms)[0]  # u_(i+3)
-        cur = (u * prev[0] + cur[0], u * prev[1] + cur[1])  # alpha_(i+3)
+        prev = nxt
 
 
 def quadratic_candidates(cf: CFExpansion, trace_bound: int) -> list[FieldElement]:
@@ -161,41 +170,54 @@ def quadratic_candidates(cf: CFExpansion, trace_bound: int) -> list[FieldElement
             for n0, n1 in _semiconvergent_coords(cf.D, trace_bound)]
 
 
-def _minkowski_covol_sq(D: int) -> int:
-    # Squared covolume of O_K under both real embeddings (= discriminant).
-    return D if D % 4 == 1 else 4 * D
+def _half_coords(x: FieldElement) -> tuple[int, int]:
+    # (n0, n1) with x = (n0 + n1 sqrt(D))/2; the denominator of O_K is 1 or 2.
+    den, (n0, n1) = x.scaled_coords()
+    return 2 * n0 // den, 2 * n1 // den
 
 
-def _pairs_possible(D: int, norms: list[Fraction], i: int, j: int) -> bool:
-    """Necessary condition from Minkowski's theorem: the candidate rectangle
-    for the pair misses lattice points only if 16 N(a_i) N(a_j) < disc."""
-    return 16 * norms[i] * norms[j] < _minkowski_covol_sq(D)
+def _pair_holds(D: int, a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """Exactly whether 4ab >= c^2 forces c = 0 for c in O_K, K = Q(sqrt(D));
+    a and b are given by their `_half_coords`.
+
+    A nonzero c with 4ab >= c^2 lies in the rectangle |sigma_s(c)| <=
+    2 sqrt(sigma_s(ab)); a lattice point there that is minimal in both
+    |sigma_s| is a relative minimum of O_K, which is +-alpha_n or
+    +-alpha_n' (`_convergent_chain`).  So the pair holds exactly when no
+    alpha_n or alpha_n' satisfies 4ab >= c^2, and the walk stops once
+    alpha_n^2 exceeds 4 Tr(ab), which bounds both 4 sigma_s(ab).
+
+    Integers only: 4ab = X0 + X1 sqrt(D), and c = (n0 + n1 sqrt(D))/2 has
+    4(4ab - c^2) = u + v sqrt(D), which is totally >= 0 exactly when u >= 0
+    and u^2 >= v^2 D.  The conjugate c' flips the sign of n0*n1 in v.
+    """
+    (a0, a1), (b0, b1) = a, b
+    X0 = a0 * b0 + a1 * b1 * D
+    X1 = a0 * b1 + a1 * b0
+    for n0, n1 in _convergent_chain(D):
+        if _twice_embedding_floor(D, n0, n1) ** 2 > 8 * X0:  # alpha_n^2 > 4 Tr(ab) = 2 X0
+            return True
+        u = 4 * X0 - n0 * n0 - n1 * n1 * D
+        if u >= 0 and any(u * u >= v * v * D for v in (4 * X1 - 2 * n0 * n1,
+                                                        4 * X1 + 2 * n0 * n1)):
+            return False
 
 
-def _search_pool(field: MultiquadField, pool: list[FieldElement], n_wanted: int,
-                 pair_budget: int) -> tuple[list[FieldElement] | None, bool]:
-    """Greedy depth-first selection by increasing trace with backtracking.
+def _search_pool(field: MultiquadField, pool: list[FieldElement],
+                 n_wanted: int) -> list[FieldElement] | None:
+    """Greedy depth-first selection by increasing trace with backtracking,
+    each pair decided by the exact screen `_pair_holds`.
 
-    Returns (witnesses or None, budget_limited).
+    Returns the witnesses, or None when the pool admits no set of n_wanted.
     """
     D = field.radicands[1]
-    norms = [x.norm() for x in pool]
+    coords = [_half_coords(x) for x in pool]
     cache: dict[tuple[int, int], bool] = {}
-    budget_limited = False
 
     def pair_ok(i: int, j: int) -> bool:
-        nonlocal budget_limited
         key = (i, j)
         if key not in cache:
-            if not _pairs_possible(D, norms, i, j):
-                cache[key] = False
-            else:
-                try:
-                    cache[key] = pair_condition_certify(
-                        pool[i], pool[j], i=i, j=j, budget=pair_budget).holds
-                except BudgetExceededError:
-                    budget_limited = True
-                    cache[key] = False
+            cache[key] = _pair_holds(D, coords[i], coords[j])
         return cache[key]
 
     chosen: list[int] = []
@@ -211,28 +233,34 @@ def _search_pool(field: MultiquadField, pool: list[FieldElement], n_wanted: int,
                 chosen.pop()
         return False
 
-    if extend(0):
-        return [pool[i] for i in chosen], budget_limited
-    return None, budget_limited
+    return [pool[i] for i in chosen] if extend(0) else None
 
 
 def _witnesses_in_field(field: MultiquadField, N: int, trace_bound: int,
                         pair_budget: int) -> tuple[WitnessSet | None, bool]:
     """Search the thinned pool of one Q(sqrt(D)) and certify what it finds.
 
-    Returns (certified WitnessSet or None, budget_limited).
+    Returns (certified WitnessSet or None, budget_limited); only the
+    certification of the chosen set can run out of budget.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     pool = _thin_pool(field, trace_bound)
     if len(pool) < N:
         return None, False
-    witnesses, budget_limited = _search_pool(field, pool, N, pair_budget)
+    witnesses = _search_pool(field, pool, N)
     if witnesses is None:
-        return None, budget_limited
-    cert = certify_witness_set(witnesses, budget=pair_budget)
-    assert cert.all_hold, "search returned a set its own certification rejects"
-    return WitnessSet(field, tuple(witnesses), cert), budget_limited
+        return None, False
+    try:
+        cert = certify_witness_set(witnesses, budget=pair_budget)
+    except BudgetExceededError:
+        return None, True
+    for pair in cert.pairs:
+        if not pair.holds:
+            raise ScreenMismatchError(
+                f"D={field.radicands[1]}: the pair screen accepted pair ({pair.i},{pair.j}) "
+                f"but enumeration finds c = {pair.violating_c!r}")
+    return WitnessSet(field, tuple(witnesses), cert), False
 
 
 def search_witnesses(D: int, N: int, trace_bound: int = DEFAULT_TRACE_BOUND,
@@ -257,25 +285,15 @@ def search_witnesses(D: int, N: int, trace_bound: int = DEFAULT_TRACE_BOUND,
 def _thin_pool(field: MultiquadField, trace_bound: int) -> list[FieldElement]:
     """Pool of all indecomposables that could appear in a certified set.
 
-    1 comes first; the other semiconvergents pass two exact necessary
-    conditions, neither of which can exclude a usable witness:
-
-    * norm < D/4 - otherwise Minkowski's theorem puts a violating c inside
-      any pair's candidate rectangle;
-    * minimal embedding < 1 - an element with every embedding above 1
-      decomposes as 1 + (x - 1) and is not indecomposable.
+    1, the only semiconvergent with n1 = 0 (kept whatever its norm, and the
+    first by trace), and the semiconvergents of norm < D/4: a larger norm
+    puts, by Minkowski's theorem, a violating c inside any pair's candidate
+    rectangle.
     """
     D = field.radicands[1]
-    coords = _semiconvergent_coords(D, trace_bound)
-    if not coords:
-        return []
-    pool = [field.one()]
-    for n0, n1 in coords:
-        small_norm = n0 * n0 - D * n1 * n1 < D  # 4*N(x) < D
-        thin = (n0 - 2) * (n0 - 2) < D * n1 * n1  # min embedding < 1
-        if small_norm and thin:
-            pool.append(field.from_scaled([n0, n1], 2))
-    return pool
+    return [field.from_scaled([n0, n1], 2)
+            for n0, n1 in _semiconvergent_coords(D, trace_bound)
+            if n1 == 0 or n0 * n0 - D * n1 * n1 < D]  # 4*N(x) < D
 
 
 def scan_for_witnesses(N: int, *, d_limit: int = DEFAULT_SCAN_LIMIT,

@@ -55,6 +55,11 @@ class NotIntegralError(MqfError):
     """An operation requires an algebraic integer."""
 
 
+class ScreenMismatchError(MqfError):
+    """Internal bug: the witness search's pair screen accepted a pair that
+    enumeration rejects."""
+
+
 class WrongDegreeError(MqfError):
     """An operation is only defined for a specific tower height k."""
 

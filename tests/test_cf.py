@@ -4,9 +4,13 @@ from math import isqrt
 
 import pytest
 
-from mqf.certifier import DEFAULT_PAIR_BUDGET, WitnessSet, verify_certificate
+from conftest import random_ok_element, shift_totally_positive
+from mqf.certifier import WitnessSet, pair_condition_certify, verify_certificate
 from mqf.cf import (
     DEFAULT_TRACE_BOUND,
+    _convergent_chain,
+    _half_coords,
+    _pair_holds,
     _search_pool,
     _thin_pool,
     cf_expand,
@@ -151,6 +155,92 @@ def test_pool_members_are_oracle_indecomposable():
 
 
 # ---------------------------------------------------------------------------
+# relative minima and the pair screen
+# ---------------------------------------------------------------------------
+
+def _up_to_sign(n0, n1):
+    return (n0, n1) if (n0, n1) > (0, 0) else (-n0, -n1)
+
+
+def _brute_force_minima(D, bound):
+    """Scaled coordinates, up to sign, of the relative minima x of O_K with
+    both |sigma_s(x)| <= bound: no nonzero y other than +-x has |y| <= |x|
+    and |y'| <= |x'|.  Floats decide exactly here: two different values
+    |sigma(y)| != |sigma(x)| differ by |sigma(y -+ x)| >= 1/(2 bound), the
+    norm of a nonzero integer being at least 1."""
+    root = D ** 0.5
+    points = {}
+    for n1 in range(-int(2 * bound / root) - 1, int(2 * bound / root) + 2):
+        for n0 in range(-2 * bound - 1, 2 * bound + 2):
+            if (n0 - n1) % 2 or (n0 % 2 and D % 4 != 1) or (n0, n1) == (0, 0):
+                continue
+            s1, s2 = abs(n0 + n1 * root) / 2, abs(n0 - n1 * root) / 2
+            if s1 <= bound and s2 <= bound:
+                points[_up_to_sign(n0, n1)] = (s1, s2)
+    minima = set()
+    lowest = float("inf")  # smallest |sigma_2| among points of smaller |sigma_1|
+    for key, (s1, s2) in sorted(points.items(), key=lambda kv: kv[1]):
+        if s2 < lowest:
+            minima.add(key)
+            lowest = s2
+    return minima
+
+
+def test_convergent_chain_is_the_relative_minima():
+    ds = [d for d in range(2, 60) if is_squarefree(d) and isqrt(d) ** 2 != d]
+    assert 5 in ds and {d % 4 for d in ds} == {1, 2, 3}
+    bound = 40
+    for D in ds:
+        chain = []
+        for n0, n1 in _convergent_chain(D):
+            larger = (n0 + n1 * D ** 0.5) / 2
+            if larger > bound:
+                break
+            assert not chain or larger > chain[-1][0], D  # increasing
+            chain.append((larger, n0, n1))
+        from_chain = {_up_to_sign(n0, s * n1) for _, n0, n1 in chain for s in (1, -1)}
+        assert from_chain == _brute_force_minima(D, bound), D
+
+
+def _assert_screen_matches_enumeration(D, a, b):
+    holds = pair_condition_certify(a, b).holds
+    assert _pair_holds(D, _half_coords(a), _half_coords(b)) == holds, (D, a, b)
+    return holds
+
+
+def _assert_screen_matches_on_pool(D, pool):
+    return sum(_assert_screen_matches_enumeration(D, a, b)
+               for i, a in enumerate(pool) for b in pool[i + 1:])
+
+
+def test_screen_matches_enumeration_on_thin_pools():
+    pairs = held = 0
+    for D in range(2, 150):
+        if is_squarefree(D):
+            pool = _thin_pool(make_field([D]), 600)
+            held += _assert_screen_matches_on_pool(D, pool)
+            pairs += len(pool) * (len(pool) - 1) // 2
+    assert pairs == 4330 and held > 100
+
+
+@pytest.mark.parametrize("D", [55, 479])
+def test_screen_matches_enumeration_at_trace_4000(D):
+    pool = _thin_pool(make_field([D]), 4000)
+    assert _assert_screen_matches_on_pool(D, pool) > 0
+
+
+def test_screen_matches_enumeration_on_random_pairs():
+    rng = random.Random(53)
+    held = 0
+    for D in (2, 3, 5, 13, 15, 21, 55, 79, 101, 479):
+        field = make_field([D])
+        for _ in range(30):
+            a, b = (shift_totally_positive(random_ok_element(field, rng, 3)) for _ in "ab")
+            held += _assert_screen_matches_enumeration(D, a, b)
+    assert held > 0
+
+
+# ---------------------------------------------------------------------------
 # witness search
 # ---------------------------------------------------------------------------
 
@@ -198,7 +288,7 @@ def test_search_agrees_with_a_cheap_first_pass():
         for N in (2, 3):
             found = None
             if len(cheap) >= N:
-                found, _ = _search_pool(field, cheap, N, DEFAULT_PAIR_BUDGET)
+                found = _search_pool(field, cheap, N)
             if found is not None:
                 assert search_witnesses(D, N).elements == tuple(found), (D, N)
                 agreed += 1

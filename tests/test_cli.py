@@ -145,6 +145,23 @@ def test_cli_witness_not_found_exit_1(capsys):
     capsys.readouterr()
 
 
+def test_cli_witness_budget_limited_exit_1(capsys):
+    # the set the search picks cannot be certified in 10 points: not found,
+    # and the message says the budget, not the search space, ran out
+    assert run_cli("witness", "--N", "3", "--D", "55", "--budget", "10") == 1
+    assert "(budget-limited)" in capsys.readouterr().err
+
+
+def test_cli_witness_screen_mismatch_exit_3(tmp_path, monkeypatch, capsys):
+    # a screen that accepts every pair hands certification a failing set:
+    # an internal error (exit 3) naming the pair, never "verified-false"
+    monkeypatch.setattr("mqf.cf._pair_holds", lambda D, a, b: True)
+    out = tmp_path / "w.json"
+    assert run_cli("witness", "--N", "3", "--D", "55", "--out", str(out)) == 3
+    assert "pair (0,1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("D", ["1", "12", "16"])
 def test_cli_witness_bad_D_exit_3(D, capsys):
     # an unusable D is an input error, not an empty search
