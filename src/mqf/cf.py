@@ -33,18 +33,11 @@ class CFExpansion:
     D: int
     a0: int
     period: tuple[int, ...]
-    q_values: tuple[int, ...]  # Q_1..Q_L of the (P, Q) recurrence
 
     def partial_quotient(self, n: int) -> int:
         if n == 0:
             return self.a0
         return self.period[(n - 1) % len(self.period)]
-
-    def q_value(self, n: int) -> int:
-        """Q_n of the recurrence; Q_0 = 1 and the rest are periodic."""
-        if n == 0:
-            return 1
-        return self.q_values[(n - 1) % len(self.q_values)]
 
     def to_json(self) -> dict:
         return {"D": self.D, "a0": self.a0, "period": list(self.period)}
@@ -79,14 +72,12 @@ def cf_expand(D: int) -> CFExpansion:
     _require_radicand(D)
     a0 = isqrt(D)
     period = []
-    q_values = []
     terms = _cf_terms(D, 0, 1)
     next(terms)
     for a, Q in terms:
         period.append(a)
-        q_values.append(Q)
         if Q == 1:
-            return CFExpansion(D, a0, tuple(period), tuple(q_values))
+            return CFExpansion(D, a0, tuple(period))
 
 
 def convergents(cf: CFExpansion, count: int) -> list[tuple[int, int]]:
@@ -139,10 +130,11 @@ def _semiconvergent_coords(D: int, trace_bound: int) -> list[tuple[int, int]]:
 
     The indecomposables are the semiconvergents alpha_i + r alpha_(i+1), odd
     i >= -1, 0 <= r <= u_(i+2) (so r = u_(i+2) gives alpha_(i+2)), and their
-    conjugates (Perron; Dress-Scharlau).  Every term of a later block has
-    larger embedding >= alpha_(i+2), and the trace of a totally positive
-    element exceeds its larger embedding, so the expansion stops once
-    alpha_(i+2) > trace_bound.
+    conjugates (Perron; Dress-Scharlau).  The trace n0 grows along a block
+    (alpha_(i+1) has n0 > 0), so a block is left at its first term past
+    trace_bound.  Every term of a later block has larger embedding >=
+    alpha_(i+2), and the trace of a totally positive element exceeds its
+    larger embedding, so the expansion stops once alpha_(i+2) > trace_bound.
     """
     chain = _convergent_chain(D)
     found = set()
@@ -150,10 +142,9 @@ def _semiconvergent_coords(D: int, trace_bound: int) -> list[tuple[int, int]]:
     while True:
         cur, nxt = next(chain), next(chain)  # alpha_(i+1), alpha_(i+2)
         n0, n1 = prev
-        while True:
-            if n0 <= trace_bound:
-                found.add((n0, n1))
-                found.add((n0, -n1))
+        while n0 <= trace_bound:
+            found.add((n0, n1))
+            found.add((n0, -n1))
             if (n0, n1) == nxt:
                 break
             n0, n1 = n0 + cur[0], n1 + cur[1]

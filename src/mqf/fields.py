@@ -102,6 +102,7 @@ class MultiquadField:
     __slots__ = (
         "primes", "k", "degree", "radicands", "mult",
         "roots", "_embed_matrix", "_value_to_mask", "_residue_cache",
+        "_lattice_cache",
     )
 
     def __init__(self, primes: tuple[int, ...], radicands: tuple[int, ...]):
@@ -126,6 +127,7 @@ class MultiquadField:
         self.roots = _root_table(radicands, ROOT_BITS)
         self._embed_matrix: np.ndarray | None = None
         self._residue_cache: np.ndarray | None = None  # filled by integers.py
+        self._lattice_cache = None  # integers.ring_lattice, filled there
 
     # -- identity ---------------------------------------------------------
 

@@ -4,7 +4,10 @@ exhaustive decomposition oracle.
 A totally positive integer is (additively) indecomposable when it is not the
 sum of two totally positive integers.  The oracle realizes the definition by
 enumerating every lattice candidate beta with 0 < sigma_s(beta) < sigma_s(x)
-inside the superset lattice, so a full scan with no hit is a proof.
+inside a box of the superset lattice, so a full scan with no hit is a proof.
+For k <= 2 the scan visits only the box's points of O_K itself
+(``integers.ring_lattice``); for k = 3 it visits the whole box and
+``integral_mask`` drops the non-integers.
 """
 
 from __future__ import annotations
@@ -158,7 +161,9 @@ def exhaustive_indecomposable(x: FieldElement, budget: int = DEFAULT_ORACLE_BUDG
     (its flat index + 1) for a DECOMPOSABLE verdict found by the scan, so a
     rerun with that budget finds the same witness and one with a point less
     does not; the budget for UNKNOWN; the whole box for an exhausted scan.
-    It does not depend on the kernel's chunking.
+    The box is that of the superset lattice even where the scan steps
+    through O_K only (k <= 2), and the count does not depend on the kernel's
+    chunking.
     """
     require_totally_positive_integer(x)
     field = x.field

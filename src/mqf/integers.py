@@ -1,11 +1,14 @@
-"""Algebraic-integer membership and the superset lattice.
+"""Algebraic-integer membership, the superset lattice and O_K itself.
 
-The ring of integers O_K is only ever needed in two sound approximations:
+The ring of integers O_K is needed in three forms:
 
 * exact membership via the characteristic polynomial (``is_algebraic_integer``)
 * an enclosing lattice (1/2^k) Z[sqrt(p_I)] with per-coordinate bounds
   (``superset_lattice_box``), which contains every algebraic integer whose
-  embeddings are bounded, so enumerating it is exhaustive.
+  embeddings are bounded, so enumerating it is exhaustive;
+* for k <= 2, O_K as a kernel ``Lattice`` in those 2^k-scaled coordinates
+  (``ring_lattice``), read off the residue table, so that a scan of the
+  trace-simplex box (``trace_simplex_job``) visits the integers only.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from .errors import ScanOverflowError
 from .fields import FieldElement, MultiquadField, _mul_dicts
-from .kernels import BoxScan, embedding_margin, scan_box
+from .kernels import BoxScan, Lattice, embedding_margin, scan_box
 
 
 def _scaled_char_poly(field: MultiquadField, coords: list[int]) -> list[int]:
@@ -84,8 +87,45 @@ def integral_residue_table(field: MultiquadField) -> np.ndarray:
     return field._residue_cache
 
 
+def residue_lattice(modulus: int, degree: int, members: np.ndarray) -> Lattice:
+    """The lattice {n in Z^degree : n mod modulus in H} as a kernel ``Lattice``.
+
+    ``members`` marks H, a subgroup of (Z/modulus)^degree, indexed by sum_I
+    r_I * modulus^I.  The residues of axis j that H allows once the earlier
+    coordinates are fixed form a coset of G_j = {h_j : h in H, h_0 = ... =
+    h_(j-1) = 0} = d_j Z/modulus, so axis j steps by d_j = modulus / |G_j|
+    from the residue h_j mod d_j of any h in H with those earlier residues.
+    """
+    idx = np.flatnonzero(members)
+    res = (idx[:, None] // modulus ** np.arange(degree)) % modulus  # one row per h in H
+    steps = []
+    residues = []
+    for j in range(degree):
+        below = np.all(res[:, :j] == 0, axis=1)
+        d = modulus // len(np.unique(res[below, j]))
+        table = np.zeros(modulus ** j, dtype=np.int64)
+        table[res[:, :j] @ modulus ** np.arange(j)] = res[:, j] % d
+        steps.append(d)
+        residues.append(table)
+    return Lattice(modulus, tuple(steps), tuple(residues))
+
+
+def ring_lattice(field: MultiquadField) -> Lattice | None:
+    """O_K in 2^k-scaled coordinates, from ``integral_residue_table``; None
+    for k > 2, where there is no residue table."""
+    if field.k > 2:
+        return None
+    if field._lattice_cache is None:
+        field._lattice_cache = residue_lattice(1 << field.k, field.degree,
+                                               integral_residue_table(field))
+    return field._lattice_cache
+
+
 def integral_mask(field: MultiquadField, coords: np.ndarray) -> np.ndarray:
-    """Vectorized is_algebraic_integer over rows of 2^k-scaled coordinates."""
+    """Vectorized is_algebraic_integer over rows of 2^k-scaled coordinates.
+
+    On the rows of a ``ring_lattice`` scan (k <= 2) it keeps every row.
+    """
     if field.k <= 2:
         table = integral_residue_table(field)
         scale = 1 << field.k
@@ -187,7 +227,9 @@ def trace_simplex_job(field: MultiquadField, trace_bound: int, emb_hi,
 
     The box is ``trace_simplex_box`` and the embedding windows are [0,
     emb_hi].  The scaled rational coordinate n_0 equals the trace, so axis 0
-    runs over [1, trace_bound], which also leaves out the origin.
+    runs over [1, trace_bound], which also leaves out the origin.  For k <= 2
+    the job carries ``ring_lattice``, so the scan visits O_K's points of the
+    box only; its budget and covered counts are still box points.
     """
     box = trace_simplex_box(field, trace_bound)
     job = box.scan_job(np.zeros(field.degree), emb_hi, ell_bound=ell_bound,
@@ -196,14 +238,15 @@ def trace_simplex_job(field: MultiquadField, trace_bound: int, emb_hi,
     hi = job.hi.copy()
     lo[0] = 1
     hi[0] = trace_bound
-    return box, replace(job, lo=lo, hi=hi)
+    return box, replace(job, lo=lo, hi=hi, lattice=ring_lattice(field))
 
 
 def totally_positive_integers_up_to_trace(field: MultiquadField, trace_bound: int,
                                           *, budget: int | None = None) -> list[FieldElement]:
     """Every totally positive x in O_K with Tr(x) <= trace_bound, odometer order.
 
-    Exact confirmation: integrality first (integer arithmetic), then total
+    The scan enumerates O_K for k <= 2 (``trace_simplex_job``).  Exact
+    confirmation: integrality first (integer arithmetic), then total
     positivity.
     """
     if trace_bound < 1:

@@ -18,9 +18,20 @@ widened by ``SLACK`` so that the interval is a superset of the points the test
 accepts (the argument is in ``scan_box``); the survivors are therefore exactly
 those of a test of every box point, in odometer order.
 
-``scan_box`` yields (survivor rows, box points covered), floor(chunk / w)
-whole prefixes (at least one) per yield, where w is the extent of the last
-axis, so a caller that stops early stops after about one chunk of the box.
+A job may carry a ``Lattice``: residue classes that every coordinate must
+lie in, given the earlier coordinates.  The scan then materializes only
+lattice prefixes and steps the last axis through its class, so it builds the
+lattice points of the box and no others; the survivors are those of the box
+scan that lie in the lattice.  The budget and the covered counts still count
+box points, so a caller's budget means the same with or without a lattice.
+
+``scan_box`` yields (survivor rows, box points covered), at most floor(chunk
+/ ceil(w / d)) whole prefixes (at least one) per yield, where w is the extent
+of the last axis and d its lattice step (1 without a lattice), so a caller
+that stops early stops after about one chunk of candidates.  On unit steps
+every yield holds exactly that many, the last excepted; a lattice scan whose
+last prefixes lie outside the lattice ends with an empty yield that closes
+the count.
 """
 
 from __future__ import annotations
@@ -43,6 +54,21 @@ def backend_name() -> str:
 
 
 @dataclass(frozen=True)
+class Lattice:
+    """A union of residue classes mod ``modulus``, stepped axis by axis.
+
+    A vector n is in the lattice exactly when, for every axis j in odometer
+    order, n_j = residues[j][key_j] (mod steps[j]), where key_j = sum_{i<j}
+    (n_i mod modulus) * modulus^i encodes the earlier coordinates; each step
+    divides the modulus, and residues[j] has modulus^j entries.
+    """
+
+    modulus: int
+    steps: tuple[int, ...]
+    residues: tuple[np.ndarray, ...]
+
+
+@dataclass(frozen=True)
 class BoxScan:
     """One scan job over the integer box prod_I [lo[I], hi[I]].
 
@@ -51,6 +77,7 @@ class BoxScan:
     acceptable embedding values; margin widens the comparison.  ell_coeffs and
     ell_bound give the exact integer test sum_I n_I^2 * ell_coeffs[I] <=
     ell_bound (disabled when ell_bound < 0).  skip_zero drops the origin.
+    lattice, when given, restricts the scan to the box points it holds.
     """
 
     lo: np.ndarray
@@ -62,6 +89,7 @@ class BoxScan:
     ell_coeffs: np.ndarray
     ell_bound: int
     skip_zero: bool
+    lattice: Lattice | None = None
 
     @property
     def shape(self) -> np.ndarray:
@@ -75,8 +103,9 @@ def scan_box(job: BoxScan, *, budget: int | None = None, chunk: int = CHUNK):
     """Yield (survivor_coords, points_covered) in global odometer order.
 
     Survivors are the box points with flat index below min(total, budget)
-    that pass the per-point test; the covered counts sum to that limit.  The caller decides what a truncated scan
-    means.
+    that lie in the job's lattice (if any) and pass the per-point test; the
+    covered counts are box points and sum to that limit.  The caller decides
+    what a truncated scan means.
 
     Soundness of the last-axis intervals.  For a prefix whose float partial sum
     is A (the value the per-point test holds before adding its last term)
@@ -121,42 +150,74 @@ def scan_box(job: BoxScan, *, budget: int | None = None, chunk: int = CHUNK):
             raise ScanOverflowError("ellipsoid accumulator would overflow int64")
         ell_bound = min(ell_bound, worst)
     yield from _scan_region(lo, shape, embed, emb_lo - margin, emb_hi + margin,
-                            ell, ell_bound, job.skip_zero, limit, chunk)
+                            ell, ell_bound, job.skip_zero, limit, chunk, job.lattice)
 
 
-def _scan_region(lo, shape, embed, low, high, ell, ell_bound, skip_zero, limit, chunk):
+def _scan_region(lo, shape, embed, low, high, ell, ell_bound, skip_zero, limit, chunk,
+                 lattice):
     # The body of scan_box: per-prefix last-axis intervals, then the
-    # per-point test on the candidates they hold.
+    # per-point test on the candidates they hold.  Prefixes are materialized
+    # from a running index p over mixed-radix digits: the box coordinates
+    # themselves on unit steps, lattice digits t_j otherwise.
     m = lo.shape[0]
     last = m - 1
     w = int(shape[last])
     lo_last = int(lo[last])
     hi_last = lo_last + w - 1
-    n_prefix = -(-limit // w)  # the last one may be clipped by the budget
-    per = max(1, chunk // w)
+    n_prefix = -(-limit // w)  # box prefixes; the last one may be clipped by the budget
+    if lattice is None:
+        step = 1
+        radix = shape[:last]
+        n_index = n_prefix
+    else:
+        steps = np.array(lattice.steps, dtype=np.int64)
+        step = int(steps[last])
+        radix = -(-shape[:last] // steps[:last])
+        n_index = int(np.prod(radix.astype(object)))
+    per = max(1, chunk // -(-w // step))
     e_last = embed[:, last]
     radius = np.maximum(np.abs(lo), np.abs(lo + shape - 1)).astype(np.float64)
     reach = np.abs(embed[:, :last]) @ radius[:last]
     bound = np.maximum(np.abs(low), np.abs(high))
     with np.errstate(divide="ignore"):
         cuts = (reach + bound) / np.abs(e_last) + radius.max() <= 2.0 ** 48
-    origin = -1  # flat index of the origin's prefix when skip_zero drops it
+    origin = -1  # box prefix index of the origin's prefix when skip_zero drops it
     if skip_zero and np.all(lo <= 0) and np.all(lo + shape > 0):
         origin = 0
         for axis in range(last):
             origin = origin * int(shape[axis]) - int(lo[axis])
+    done = 0  # box points covered by the earlier yields
     p0 = 0
-    while p0 < n_prefix:
-        p1 = min(p0 + per, n_prefix)
-        count = p1 - p0
-        prefix = np.empty((last, count), dtype=np.int64)
+    while p0 < n_index:
+        p1 = min(p0 + per, n_index)
         idx = np.arange(p0, p1, dtype=np.int64)
+        prefix = np.empty((last, p1 - p0), dtype=np.int64)
         for axis in range(last - 1, -1, -1):
-            idx, prefix[axis] = np.divmod(idx, shape[axis])
-            prefix[axis] += lo[axis]
+            idx, prefix[axis] = np.divmod(idx, radix[axis])
+        final = p1 == n_index
+        if lattice is None:
+            prefix += lo[:last, None]
+            last_flat = p1 - 1  # box prefix index of the last row
+            j = origin - p0  # the origin's row
+            residue = None
+        else:
+            prefix, flat, residue, cut = _lattice_prefixes(prefix, lo, shape, lattice, n_prefix)
+            final = final or cut
+            if not len(flat):
+                if final:
+                    if done < limit:
+                        yield np.empty((0, m), dtype=np.int64), limit - done
+                    return
+                p0 = p1
+                continue
+            last_flat = int(flat[-1])
+            j = int(np.searchsorted(flat, origin))
+            if j == len(flat) or flat[j] != origin:
+                j = -1
+        count = prefix.shape[1]
         n_lo = np.full(count, lo_last, dtype=np.int64)
         n_hi = np.full(count, hi_last, dtype=np.int64)
-        if p1 == n_prefix:
+        if last_flat == n_prefix - 1:
             n_hi[-1] = lo_last + (limit - (n_prefix - 1) * w) - 1
         alive = np.ones(count, dtype=np.bool_)
         partial = np.zeros((embed.shape[0], count), dtype=np.float64)
@@ -190,12 +251,16 @@ def _scan_region(lo, shape, embed, low, high, ell, ell_bound, skip_zero, limit, 
                 root = root.astype(np.int64) + SLACK
                 np.maximum(n_lo, -root, out=n_lo)
                 np.minimum(n_hi, root, out=n_hi)
-        counts = np.where(alive, np.maximum(n_hi - n_lo + 1, 0), 0)
-        covered = min(p1 * w, limit) - p0 * w
+        # the last axis runs from its first admissible value by ``step``
+        first = n_lo if residue is None else n_lo + (residue - n_lo) % step
+        counts = np.where(alive, np.maximum((n_hi - first) // step + 1, 0), 0)
+        covered = (limit if final else min((last_flat + 1) * w, limit)) - done
+        done += covered
         n_cand = int(counts.sum())
         rep = np.repeat(np.arange(count), counts)
         starts = np.cumsum(counts) - counts
-        last_coord = np.arange(n_cand, dtype=np.int64) + np.repeat(n_lo - starts, counts)
+        last_coord = (np.arange(0, n_cand * step, step, dtype=np.int64)
+                      + np.repeat(first - starts * step, counts))
         keep = np.ones(n_cand, dtype=np.bool_)
         for s in range(embed.shape[0]):
             acc = partial[s][rep] + last_coord * e_last[s]
@@ -203,29 +268,49 @@ def _scan_region(lo, shape, embed, low, high, ell, ell_bound, skip_zero, limit, 
         if ell_bound >= 0:
             q = q_prefix[rep] + last_coord * last_coord * ell[last]
             keep &= q <= ell_bound
-        j = origin - p0
-        if 0 <= j < count and counts[j] and n_lo[j] <= 0 <= n_hi[j]:
-            keep[starts[j] - n_lo[j]] = False
+        if 0 <= j < count and counts[j]:
+            offset, off_lattice = divmod(-int(first[j]), step)
+            if not off_lattice and 0 <= offset < counts[j]:
+                keep[starts[j] + offset] = False
         rows = np.empty((int(keep.sum()), m), dtype=np.int64)
         rows[:, :last] = prefix[:, rep[keep]].T
         rows[:, last] = last_coord[keep]
         yield rows, covered
+        if final:
+            return
         p0 = p1
 
 
-def collect_survivors(job: BoxScan, *, budget: int | None = None,
-                      chunk: int = CHUNK) -> tuple[np.ndarray, int]:
-    """Run the whole scan and return (all survivors stacked, points scanned)."""
-    parts = []
-    scanned = 0
-    for coords, n in scan_box(job, budget=budget, chunk=chunk):
-        scanned += n
-        if len(coords):
-            parts.append(coords)
-    if parts:
-        return np.concatenate(parts, axis=0), scanned
-    m = job.lo.shape[0]
-    return np.empty((0, m), dtype=np.int64), scanned
+def _lattice_prefixes(digits, lo, shape, lattice, n_prefix):
+    """Lattice prefix rows n_j = first_j + t_j d_j for the digit rows t.
+
+    first_j is the least value >= lo_j in the residue class that the earlier
+    coordinates select.  Returns the rows that lie in the box and before box
+    prefix n_prefix, their box prefix indices (increasing), the residue each
+    requires of the last coordinate, and whether a row was dropped for
+    lying past n_prefix (so no later row is needed).
+    """
+    M = lattice.modulus
+    count = digits.shape[1]
+    key = np.zeros(count, dtype=np.int64)
+    flat = np.zeros(count, dtype=np.int64)
+    inside = np.ones(count, dtype=np.bool_)
+    power = 1
+    for axis in range(digits.shape[0]):
+        d = lattice.steps[axis]
+        low = lo[axis]
+        n = digits[axis]
+        n *= d
+        n += low + (lattice.residues[axis][key] - low) % d
+        inside &= n < low + shape[axis]
+        flat = flat * shape[axis] + (n - low)
+        key += (n % M) * power
+        power *= M
+    residue = lattice.residues[-1][key]
+    before = flat < n_prefix
+    cut = bool(np.any(inside & ~before))
+    inside &= before
+    return digits[:, inside], flat[inside], residue[inside], cut
 
 
 def embedding_margin(emb_lo: np.ndarray, emb_hi: np.ndarray,

@@ -8,6 +8,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from mqf.certifier import _pair_region
+from mqf.cf import _convergent_chain, _twice_embedding_floor
 from mqf.errors import (
     BudgetExceededError,
     DegeneratePartError,
@@ -20,17 +21,20 @@ from mqf.integers import is_algebraic_integer
 UNPRUNED_POINT_CAP = 4 * 10**6
 
 
-def sign_rec(field: MultiquadField, coeffs, smask: int, level: int) -> int:
-    """Reference sign of sigma_s(x) for x supported on masks < 2^level, in
-    Fraction arithmetic, one embedding at a time.
+def signs_rec(field: MultiquadField, coeffs, level: int) -> list[int]:
+    """Reference signs of sigma_s(x), s = 0 .. 2^level - 1, for x supported on
+    masks < 2^level, in Fraction arithmetic.
 
     Splits x = u + v*sqrt(p_top) over the subfield of the first level-1
-    generators and decides by the signs of u, v and u^2 - p_top*v^2, recursing
-    to plain rational signs at level 0.
+    generators and decides each embedding by the signs of u, v and u^2 -
+    p_top*v^2 there, recursing to plain rational signs at level 0.  The split
+    and w = u^2 - p_top*v^2 do not depend on the embedding, so each is built
+    once: embedding s of x restricts to embedding s mod 2^(level-1) of the
+    subfield, and its bit 2^(level-1) flips the sign of sqrt(p_top).
     """
     if level == 0:
         c = coeffs.get(0, Fraction(0))
-        return (c > 0) - (c < 0)
+        return [(c > 0) - (c < 0)]
     top = 1 << (level - 1)
     p_top = field.radicands[top]
     u: dict[int, Fraction] = {}
@@ -42,24 +46,30 @@ def sign_rec(field: MultiquadField, coeffs, smask: int, level: int) -> int:
             v[low] = c / field.mult[low][top]
         else:
             u[mask] = c
-    s_top = -1 if smask & top else 1
-    su = sign_rec(field, u, smask, level - 1)
-    sv = s_top * sign_rec(field, v, smask, level - 1)
-    if sv == 0:
-        return su
-    if su == 0:
-        return sv
-    if su == sv:
-        return su
-    w = _mul_dicts(field, u, u)
-    pv2 = _mul_dicts(field, v, v)
-    for mask, c in pv2.items():
-        c *= p_top
-        if mask in w:
-            w[mask] -= c
+    su = signs_rec(field, u, level - 1)
+    sv = signs_rec(field, v, level - 1)
+    sw = None
+    out = []
+    for s in range(2 * top):
+        a = su[s % top]
+        b = -sv[s % top] if s & top else sv[s % top]
+        if b == 0 or a == b:
+            out.append(a)
+        elif a == 0:
+            out.append(b)
         else:
-            w[mask] = -c
-    return su * sign_rec(field, w, smask, level - 1)
+            if sw is None:
+                w = _mul_dicts(field, u, u)
+                pv2 = _mul_dicts(field, v, v)
+                for mask, c in pv2.items():
+                    c *= p_top
+                    if mask in w:
+                        w[mask] -= c
+                    else:
+                        w[mask] = -c
+                sw = signs_rec(field, w, level - 1)
+            out.append(a * sw[s % top])
+    return out
 
 
 def enumerate_violations_unpruned(a: FieldElement, b: FieldElement):
@@ -142,3 +152,25 @@ def case_b_identity_holds(field_k: MultiquadField, q: int, v: FieldElement) -> b
     lhs = 2 * q * tr_k_v2          # Tr_L(v^2 q) with Tr_L = 2 Tr_K on K
     bound = Fraction(q, 1 << (k + 1))
     return lhs >= bound and bound * bound > q
+
+
+def semiconvergent_coords_full_walk(D: int, trace_bound: int) -> list[tuple[int, int]]:
+    """``cf._semiconvergent_coords`` walking every block to its end: each
+    semiconvergent alpha_i + r alpha_(i+1), 0 <= r <= u_(i+2), is visited and
+    kept if its trace is at most trace_bound."""
+    chain = _convergent_chain(D)
+    found = set()
+    prev = next(chain)
+    while True:
+        cur, nxt = next(chain), next(chain)
+        n0, n1 = prev
+        while True:
+            if n0 <= trace_bound:
+                found.add((n0, n1))
+                found.add((n0, -n1))
+            if (n0, n1) == nxt:
+                break
+            n0, n1 = n0 + cur[0], n1 + cur[1]
+        if _twice_embedding_floor(D, *nxt) // 2 > trace_bound:
+            return sorted(found)
+        prev = nxt

@@ -1,17 +1,22 @@
 import json
 import random
+import time
+from itertools import islice
 from math import isqrt
 
 import pytest
 
 from conftest import random_ok_element, shift_totally_positive
+from oracles import semiconvergent_coords_full_walk
 from mqf.certifier import WitnessSet, pair_condition_certify, verify_certificate
 from mqf.cf import (
     DEFAULT_TRACE_BOUND,
+    _cf_terms,
     _convergent_chain,
     _half_coords,
     _pair_holds,
     _search_pool,
+    _semiconvergent_coords,
     _thin_pool,
     cf_expand,
     convergents,
@@ -62,9 +67,10 @@ def test_period_structure_random():
         body = cf.period[:-1]
         assert body == body[::-1]  # palindromic prefix
         # minimality: no shorter rotation of the (P, Q) recurrence closes early
-        assert all(q >= 1 for q in cf.q_values)
-        assert cf.q_values[-1] == 1
-        assert 1 not in cf.q_values[:-1]
+        q_values = [Q for _, Q in islice(_cf_terms(d, 0, 1), 1, len(cf.period) + 1)]
+        assert all(q >= 1 for q in q_values)
+        assert q_values[-1] == 1
+        assert 1 not in q_values[:-1]
 
 
 def test_convergent_identities():
@@ -81,8 +87,10 @@ def test_pell_type_identity_random():
     rng = random.Random(52)
     for d in squarefree_ds(rng, 50):
         cf = cf_expand(d)
-        for n, (p, q) in enumerate(convergents(cf, 2 * len(cf.period) + 2)):
-            assert p * p - d * q * q == (-1) ** (n + 1) * cf.q_value(n + 1)
+        count = 2 * len(cf.period) + 2
+        q_values = [Q for _, Q in islice(_cf_terms(d, 0, 1), count + 1)]  # Q_0, Q_1, ...
+        for n, (p, q) in enumerate(convergents(cf, count)):
+            assert p * p - d * q * q == (-1) ** (n + 1) * q_values[n + 1]
 
 
 def test_convergents_approach_sqrt(q2):
@@ -102,6 +110,28 @@ def test_pool_examples():
     pool5 = quadratic_candidates(cf_expand(5), 3)
     assert {repr(x) for x in pool5} == {"1", "3/2 + 1/2*s5", "3/2 - 1/2*s5"}
     assert quadratic_candidates(cf_expand(2), 0) == []
+
+
+def test_semiconvergent_walk_matches_the_full_walk():
+    checked = 0
+    for D in range(2, 3000):
+        if not is_squarefree(D) or isqrt(D) ** 2 == D:
+            continue
+        for trace_bound in (1, 2, 3, 60, 1000, 10**5):
+            assert _semiconvergent_coords(D, trace_bound) == \
+                semiconvergent_coords_full_walk(D, trace_bound), (D, trace_bound)
+        checked += 1
+    assert checked > 1800
+
+
+def test_semiconvergent_walk_leaves_a_long_block():
+    # sqrt(D) = [10^8; 10^8, 2*10^8]: the block after alpha_(-1) = 1 has 10^8
+    # terms, of which 4 pairs are below the trace bound
+    start = time.perf_counter()
+    coords = _semiconvergent_coords(10**16 + 2, 10**9)
+    assert time.perf_counter() - start < 2.0
+    assert coords == [(2, 0)] + [(2 * 10**8 * r + 2, s * 2 * r) for r in (1, 2, 3, 4)
+                                 for s in (-1, 1)]
 
 
 def test_pool_sorted_by_trace():

@@ -1,6 +1,8 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import random_tp_integer
@@ -15,7 +17,15 @@ from mqf.indecomposables import (
     trace_bound_holds,
     trace_exceeds_min_radicand,
 )
-from mqf.integers import is_algebraic_integer
+from mqf.integers import (
+    integral_mask,
+    is_algebraic_integer,
+    totally_positive_integers_up_to_trace,
+    trace_simplex_job,
+)
+from mqf.kernels import scan_box
+
+CHUNK = 1 << 18  # the fastest unit-step chunk on this population
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +210,66 @@ def test_criterion_never_contradicts_oracle_small_window(q23):
     for x in totally_positive_integers_up_to_trace(q23, 16):
         if normab_criterion(x):
             assert exhaustive_indecomposable(x).verdict is Verdict.INDECOMPOSABLE_BY_EXHAUSTION
+
+
+def _superset_verdicts(x, budgets):
+    """The oracle's verdict JSON for each (deterministic, budget), read off one
+    whole unit-step scan of the trace-simplex box plus ``integral_mask``.
+
+    The first exact decomposition in odometer order decides every budget: a
+    budget past its flat index finds it, a smaller one runs out (UNKNOWN) or
+    exhausts the box.
+    """
+    field = x.field
+    t_max = int(x.trace()) - 1
+    emb_hi = np.array([float(hi) for _, hi in x.embedding_enclosures()])
+    tr_sq = (1 << field.k) * (x * x).trace()  # Tr((2^k scaled beta)^2) < 2^k Tr(x^2)
+    ell_bound = (tr_sq.numerator - 1) // tr_sq.denominator
+    first = None  # (flat index, witness)
+    if t_max >= 1:
+        box, job = trace_simplex_job(field, t_max, emb_hi, ell_bound=ell_bound)
+        job = replace(job, lattice=None)
+        total = job.total_points()
+        for coords, _ in scan_box(job, chunk=CHUNK):
+            for row in coords[integral_mask(field, coords)]:
+                beta = box.element(row)
+                if beta.is_totally_positive() and (x - beta).is_totally_positive():
+                    first = (int(np.ravel_multi_index(tuple(row - job.lo), job.shape)), beta)
+                    break
+            if first is not None:
+                break
+    else:
+        total = 0
+    out = {}
+    for budget in budgets:
+        if first is not None and first[0] < budget:
+            found = (Verdict.DECOMPOSABLE, first[1].to_json(), first[0] + 1)
+        elif total > budget:
+            found = (Verdict.UNKNOWN, None, budget)
+        else:
+            found = (Verdict.INDECOMPOSABLE_BY_EXHAUSTION, None, total)
+        want = dict(zip(("verdict", "witness", "budget_used"), found),
+                    element=x.to_json(), verdict=found[0].value)
+        out[True, budget] = want
+        out[False, budget] = want
+        if (x - 1).is_totally_positive():
+            out[False, budget] = dict(want, verdict="decomposable", budget_used=0,
+                                      witness=field.one().to_json())
+    return out
+
+
+def test_oracle_on_o_k_equals_the_superset_scan(q23):
+    # the trace <= 40 population of acceptance criterion 3, both modes, two budgets
+    budgets = (10**7, 37)
+    elements = totally_positive_integers_up_to_trace(q23, 40)
+    verdicts = set()
+    for x in elements:
+        want = _superset_verdicts(x, budgets)
+        for (deterministic, budget), data in want.items():
+            got = exhaustive_indecomposable(x, budget, deterministic=deterministic)
+            assert got.to_json() == data, (x, deterministic, budget)
+            verdicts.add(data["verdict"])
+    assert len(elements) == 2704 and len(verdicts) == 3
 
 
 def test_verdict_json(q2):

@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 from conftest import random_element, random_ok_element, random_tp_integer
+import mqf.integers
 from mqf.fields import make_field
 from mqf.integers import (
     integral_residue_table,
     is_algebraic_integer,
+    ring_lattice,
     superset_lattice_box,
     totally_positive_integers_up_to_trace,
     trace_simplex_box,
+    trace_simplex_job,
 )
 
 
@@ -69,6 +72,60 @@ def test_residue_table_matches_oracle(q23):
             rem //= scale
         x = q23.from_scaled(coords, scale)
         assert bool(table[idx]) == all(c.denominator == 1 for c in x.char_poly())
+
+
+# the 2^k-scaled O_K as a kernel lattice, k <= 2
+LATTICE_STEPS = {(2,): (2, 2), (3,): (2, 2), (5,): (1, 2), (13,): (1, 2),
+                 (2, 3): (4, 2, 4, 4), (2, 5): (2, 2, 4, 4), (5, 13): (1, 2, 2, 4),
+                 (3, 7): (2, 2, 4, 4), (6, 10): (4, 2, 4, 4), (5, 29): (1, 2, 2, 4)}
+
+
+@pytest.mark.parametrize("primes", list(LATTICE_STEPS), ids=str)
+def test_ring_lattice_is_o_k(primes):
+    field = make_field(list(primes))
+    lattice = ring_lattice(field)
+    assert lattice.steps == LATTICE_STEPS[primes]
+    scale = 1 << field.k
+    table = integral_residue_table(field)
+    members = 0
+    for idx in range(scale ** field.degree):
+        coords = [(idx // scale ** i) % scale for i in range(field.degree)]
+        key = 0
+        inside = True
+        for j, n in enumerate(coords):
+            inside &= n % lattice.steps[j] == lattice.residues[j][key]
+            key += n * scale ** j
+        assert inside == table[idx], coords
+        x = field.from_scaled(coords, scale)
+        assert inside == is_algebraic_integer(x)
+        assert inside == all(c.denominator == 1 for c in x.char_poly())
+        members += inside
+    # |O_K / Z[sqrt(p_I)]| classes, and the steps multiply to the index of O_K
+    assert members * np.prod(lattice.steps) == scale ** field.degree
+
+
+def test_ring_lattice_is_attached_for_k_at_most_2(q2, q23, q235):
+    for field in (q2, q23):
+        _, job = trace_simplex_job(field, 5, np.full(field.degree, 5.0))
+        assert job.lattice is ring_lattice(field)
+    _, job = trace_simplex_job(q235, 5, np.full(8, 5.0))
+    assert ring_lattice(q235) is None and job.lattice is None
+
+
+@pytest.mark.parametrize("primes, trace_bound", [([2], 40), ([5], 40), ([13], 40),
+                                                 ([2, 3], 20), ([5, 13], 20), ([6, 10], 20)],
+                         ids=str)
+def test_enumeration_on_o_k_equals_the_superset_scan(primes, trace_bound, monkeypatch):
+    field = make_field(primes)
+    got = totally_positive_integers_up_to_trace(field, trace_bound)
+    monkeypatch.setattr(mqf.integers, "ring_lattice", lambda field: None)
+    want = totally_positive_integers_up_to_trace(field, trace_bound)
+    assert got == want and len(got) > 20
+    for budget in (1, 37, 500):
+        monkeypatch.undo()
+        got = totally_positive_integers_up_to_trace(field, trace_bound, budget=budget)
+        monkeypatch.setattr(mqf.integers, "ring_lattice", lambda field: None)
+        assert got == totally_positive_integers_up_to_trace(field, trace_bound, budget=budget)
 
 
 @pytest.mark.parametrize("primes", [[2, 3], [5, 13], [3, 2]])

@@ -5,10 +5,23 @@ import pytest
 
 import mqf.kernels
 from mqf.errors import ScanOverflowError
-from mqf.kernels import BoxScan, collect_survivors, embedding_margin, scan_box
+from mqf.integers import residue_lattice
+from mqf.kernels import BoxScan, Lattice, embedding_margin, scan_box
 
 
-def _job(lo, hi, embed, emb_lo, emb_hi, ell=None, ell_bound=-1, skip_zero=True):
+def collect_survivors(job, *, budget=None, chunk=mqf.kernels.CHUNK):
+    """Run the whole scan and return (all survivors stacked, points scanned)."""
+    parts = []
+    scanned = 0
+    for coords, n in scan_box(job, budget=budget, chunk=chunk):
+        scanned += n
+        parts.append(coords)
+    m = job.lo.shape[0]
+    return np.concatenate([np.empty((0, m), dtype=np.int64)] + parts), scanned
+
+
+def _job(lo, hi, embed, emb_lo, emb_hi, ell=None, ell_bound=-1, skip_zero=True,
+         lattice=None):
     lo = np.array(lo, dtype=np.int64)
     hi = np.array(hi, dtype=np.int64)
     embed = np.array(embed, dtype=np.float64)
@@ -16,13 +29,26 @@ def _job(lo, hi, embed, emb_lo, emb_hi, ell=None, ell_bound=-1, skip_zero=True):
     emb_hi = np.array(emb_hi, dtype=np.float64)
     margin = embedding_margin(emb_lo, emb_hi, embed, lo, hi)
     ell_arr = np.array(ell if ell is not None else [0] * lo.shape[0], dtype=np.int64)
-    return BoxScan(lo, hi, embed, emb_lo, emb_hi, margin, ell_arr, ell_bound, skip_zero)
+    return BoxScan(lo, hi, embed, emb_lo, emb_hi, margin, ell_arr, ell_bound, skip_zero,
+                   lattice)
+
+
+def _in_lattice(coords, lattice):
+    """Membership straight from the definition of ``Lattice``."""
+    M = lattice.modulus
+    key = 0
+    for j, n in enumerate(coords):
+        if (n - int(lattice.residues[j][key])) % lattice.steps[j]:
+            return False
+        key += (n % M) * M ** j
+    return True
 
 
 def _reference_scan(job, stop=None):
     """Plain Python re-enumeration, same acceptance tests, odometer order.
 
-    Only the points whose flat odometer index lies below stop are tested.
+    Only the points whose flat odometer index lies below stop are tested,
+    and of those only the ones in the job's lattice, if it has one.
     """
     out = []
     ranges = [range(int(a), int(b) + 1) for a, b in zip(job.lo, job.hi)]
@@ -30,6 +56,8 @@ def _reference_scan(job, stop=None):
         if stop is not None and flat >= stop:
             break
         if job.skip_zero and not any(coords):
+            continue
+        if job.lattice is not None and not _in_lattice(coords, job.lattice):
             continue
         if job.ell_bound >= 0:
             if sum(c * c * e for c, e in zip(coords, job.ell_coeffs)) > job.ell_bound:
@@ -258,3 +286,117 @@ def test_one_axis_box(skip_zero):
     chunks = [n for _, n in scan_box(job, chunk=4)]
     assert chunks == [16]  # the empty prefix is one prefix of w = 16 points
     _check_budgets(job, range(1, 19), chunks=(1, 4, mqf.kernels.CHUNK))
+
+
+# ---------------------------------------------------------------------------
+# lattice scans: the reference restricted to the lattice, box-point budgets
+# ---------------------------------------------------------------------------
+
+def _with_lattice(job, lattice):
+    return BoxScan(job.lo, job.hi, job.embed, job.emb_lo, job.emb_hi, job.margin,
+                   job.ell_coeffs, job.ell_bound, job.skip_zero, lattice)
+
+
+# the 2-scaled O_K of Q(sqrt 5) (steps 1, 2); n_0 and n_1 even, where the
+# origin's prefix has no lattice point; and a 4-axis lattice with every step > 1
+LATTICES = [
+    Lattice(2, (1, 2), (np.array([0]), np.array([0, 1]))),
+    Lattice(2, (2, 2), (np.array([0]), np.array([1, 1]))),
+    Lattice(4, (2, 2, 4, 4), (np.array([0]), np.array([0] * 4), np.arange(16) % 2,
+                              (np.arange(64) // 4) % 4)),
+]
+
+
+@pytest.mark.parametrize("job, lattice", [(JOBS[0], LATTICES[0]), (JOBS[1], LATTICES[1]),
+                                          (JOBS[3], LATTICES[0]), (JOBS[3], LATTICES[1]),
+                                          (JOBS[1], None)])
+def test_lattice_scan_every_budget(job, lattice):
+    if lattice is None:  # a 2-axis cut of the 4-axis lattice: steps (2, 2)
+        lattice = Lattice(4, (2, 2), LATTICES[2].residues[:2])
+    job = _with_lattice(job, lattice)
+    want = _reference_scan(job)
+    assert want and len(want) < len(_reference_scan(_with_lattice(job, None)))
+    _check_budgets(job, range(1, job.total_points() + 3), chunks=(1, 3, mqf.kernels.CHUNK))
+
+
+def test_lattice_scan_four_axes():
+    job = _with_lattice(JOBS[2], LATTICES[2])
+    assert len(_reference_scan(job)) > 10
+    total = job.total_points()
+    budgets = [1, 2, total - 1, total, total + 1] + \
+        np.random.default_rng(4).integers(1, total, 20).tolist()
+    _check_budgets(job, budgets, chunks=(1, 7, mqf.kernels.CHUNK))
+
+
+def test_lattice_prefix_chunks():
+    # n_0 and n_1 even: 11 lattice prefixes n_0 = 0, 2, ..., 20, w = 5 and
+    # d = 2, so 3 prefixes per chunk of 9 candidates; each yield covers the
+    # box through its last prefix, and the last one the rest of the box
+    lattice = Lattice(2, (2, 2), (np.array([0]), np.array([0, 0])))
+    job = _job([0, -2], [20, 2], [[1.0, 0.0]], [-1.0], [30.0], lattice=lattice)
+    got = list(scan_box(job, chunk=9))
+    assert [n for _, n in got] == [25, 30, 30, 20]
+    assert [len(coords) for coords, _ in got] == [8, 9, 9, 6]  # skip_zero drops (0, 0)
+    assert _rows(np.concatenate([c for c, _ in got])) == _reference_scan(job)
+    # a budget inside prefix n_0 = 13, which is not a lattice prefix
+    assert [n for _, n in scan_box(job, budget=67, chunk=9)] == [25, 30, 12]
+
+
+def test_lattice_edge_cases():
+    # the origin's prefix is a lattice prefix but the origin is not in the
+    # lattice (n_1 odd), so skip_zero must drop nothing there
+    odd = Lattice(2, (1, 2), (np.array([0]), np.array([1, 1])))
+    job = _job([-3, -3], [3, 3], [[1.0, 0.3]], [-5.0], [5.0], lattice=odd)
+    assert (0, -1) in _reference_scan(job) and (0, 1) in _reference_scan(job)
+    _check_budgets(job, range(1, job.total_points() + 3), chunks=(1, 2, mqf.kernels.CHUNK))
+    # a prefix axis narrower than its step: n_1 = n_0 mod 4 lies in [0, 0]
+    # only for n_0 = 0, 4, 8, and the rows past it must not end the scan early
+    narrow = Lattice(4, (1, 4, 1), (np.array([0]), np.arange(4) % 4, np.zeros(16, dtype=np.int64)))
+    job = _job([0, 0, -2], [9, 0, 2], [[1.0, 0.5, 0.25]], [-1.0], [20.0], lattice=narrow)
+    assert {c[0] for c in _reference_scan(job)} == {0, 4, 8}
+    _check_budgets(job, range(1, job.total_points() + 3), chunks=(1, 5, 10, mqf.kernels.CHUNK))
+
+
+def _random_subgroup(rng, modulus, m):
+    """Membership table of the subgroup of (Z/modulus)^m spanned by random vectors."""
+    members = {(0,) * m}
+    for _ in range(int(rng.integers(0, 4))):
+        g = tuple(int(v) for v in rng.integers(0, modulus, size=m))
+        while True:
+            grown = members | {tuple((a + b) % modulus for a, b in zip(h, g)) for h in members}
+            if grown == members:
+                break
+            members = grown
+    table = np.zeros(modulus ** m, dtype=np.bool_)
+    for h in members:
+        table[sum(r * modulus ** i for i, r in enumerate(h))] = True
+    return table
+
+
+def _random_lattice(rng, m):
+    modulus = int(rng.choice([2, 4]))
+    if rng.random() < 0.5:
+        table = _random_subgroup(rng, modulus, m)
+        lattice = residue_lattice(modulus, m, table)
+        for idx in range(modulus ** m):  # the derived lattice is exactly the subgroup
+            coords = [(idx // modulus ** i) % modulus for i in range(m)]
+            assert _in_lattice(coords, lattice) == table[idx]
+        return lattice
+    # any residue tables: a union of classes, perhaps without the origin
+    steps = tuple(int(rng.choice([d for d in (1, 2, 4) if modulus % d == 0])) for _ in range(m))
+    residues = tuple(rng.integers(0, d, size=modulus ** j) for j, d in enumerate(steps))
+    return Lattice(modulus, steps, residues)
+
+
+def test_random_lattice_jobs_match_reference():
+    rng = np.random.default_rng(20261019)
+    survivors = 0
+    for _ in range(200):
+        job = _random_job(rng)
+        job = _with_lattice(job, _random_lattice(rng, job.lo.shape[0]))
+        total = job.total_points()
+        budgets = [total, int(rng.integers(1, total + 3))]
+        chunk = int(rng.integers(1, 41))
+        _check_budgets(job, budgets, chunks=(chunk,))
+        survivors += len(_reference_scan(job))
+    assert survivors > 200
