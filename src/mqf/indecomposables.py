@@ -139,6 +139,17 @@ def _strict_floor(bound: Fraction) -> int:
     return (bound.numerator - 1) // bound.denominator
 
 
+def _trace_of_square(x: FieldElement) -> Fraction:
+    """Tr(x^2) = 2^k sum_I c_I^2 p_I.
+
+    A cross term sqrt(p_I) sqrt(p_J) with I != J is a rational multiple of
+    sqrt(p_{I xor J}), whose trace is 0, so only the squares are left.
+    """
+    den, coords = x.scaled_coords()
+    square = sum(n * n * p for n, p in zip(coords, x.field.radicands))
+    return Fraction(x.field.degree * square, den * den)
+
+
 def _points_through(job, row) -> int:
     """Box points up to and including ``row`` in odometer order: its flat index + 1."""
     flat = 0
@@ -180,8 +191,7 @@ def exhaustive_indecomposable(x: FieldElement, budget: int = DEFAULT_ORACLE_BUDG
     uppers = [hi for _, hi in x.embedding_enclosures()]
     emb_hi = np.array([float(hi) for hi in uppers])
     # beta < x also bounds Tr(beta^2) = sum sigma_s(beta)^2 strictly by Tr(x^2).
-    tr_sq = (x * x).trace()
-    ell_bound = _strict_floor(Fraction(1 << field.k) * tr_sq)
+    ell_bound = _strict_floor(Fraction(1 << field.k) * _trace_of_square(x))
     box, job = trace_simplex_job(field, t_max, emb_hi, ell_bound=ell_bound)
     total = job.total_points()
 

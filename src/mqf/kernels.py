@@ -32,10 +32,25 @@ that stops early stops after about one chunk of candidates.  On unit steps
 every yield holds exactly that many, the last excepted; a lattice scan whose
 last prefixes lie outside the lattice ends with an empty yield that closes
 the count.
+
+A scan is a plan and an execution.  The plan holds what the job's geometry
+alone decides (the box, the embedding and ellipsoid coefficients, the
+lattice, skip_zero, the point limit and the chunk): the ellipsoid guard, the
+prefix radix and pass size, the float reach, the origin's prefix and, for a
+scan that fits in one pass, that pass's prefix rows with their lattice
+residues, per-embedding partial sums and ellipsoid prefix sums.  One call
+then computes only what its embedding windows and ellipsoid bound decide:
+the last-axis intervals, the candidates, the per-point test and the rows.
+Plans are memoized per process, least recently used first out, holding at
+most ``PLAN_ROWS`` = 2^14 prefix rows in all (about 2.2 MB at k = 3); a scan
+of several passes keeps only its plan and builds each pass's prefixes as it
+goes, through the same block builder.
 """
 
 from __future__ import annotations
 
+import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +59,7 @@ from .errors import ScanOverflowError
 
 CHUNK = 1 << 16
 SLACK = 2  # integer widening of the float-derived ends of a last-axis interval
+PLAN_ROWS = 1 << 14  # prefix rows that the memoized plans hold in all
 
 # perfbench/worker.py reads these two names and records them with each run.
 numba = None
@@ -96,7 +112,7 @@ class BoxScan:
         return self.hi - self.lo + 1
 
     def total_points(self) -> int:
-        return int(np.prod(self.shape.astype(object)))
+        return math.prod(self.shape.tolist())
 
 
 def scan_box(job: BoxScan, *, budget: int | None = None, chunk: int = CHUNK):
@@ -106,6 +122,11 @@ def scan_box(job: BoxScan, *, budget: int | None = None, chunk: int = CHUNK):
     that lie in the job's lattice (if any) and pass the per-point test; the
     covered counts are box points and sum to that limit.  The caller decides
     what a truncated scan means.
+
+    The work that the job's geometry decides comes from a memoized
+    ``_Plan``; the call runs only what its embedding windows and ellipsoid
+    bound decide: the last-axis intervals, the candidates they hold, the
+    per-point test and the rows.
 
     Soundness of the last-axis intervals.  For a prefix whose float partial sum
     is A (the value the per-point test holds before adding its last term)
@@ -132,153 +153,265 @@ def scan_box(job: BoxScan, *, budget: int | None = None, chunk: int = CHUNK):
     limit = total if budget is None else min(total, budget)
     if limit <= 0 or np.any(job.shape <= 0):
         return
-    lo = job.lo.astype(np.int64)
-    shape = job.shape.astype(np.int64)
-    embed = np.ascontiguousarray(job.embed, dtype=np.float64)
-    emb_lo = job.emb_lo.astype(np.float64)
-    emb_hi = job.emb_hi.astype(np.float64)
-    margin = job.margin.astype(np.float64)
-    ell = job.ell_coeffs.astype(np.int64)
+    plan = _PLANS.plan(job, limit, chunk)
     # int64 safety for the exact ellipsoid accumulator.  No point's form
     # exceeds ``worst`` = sum_I max|n_I|^2 ell_I, so a larger bound is lowered
     # to it: same test, and it fits in int64 too.
     ell_bound = job.ell_bound
     if ell_bound >= 0:
-        worst = sum(max(abs(int(a)), abs(int(b))) ** 2 * int(e)
-                    for a, b, e in zip(job.lo, job.hi, ell))
-        if worst > (1 << 62):
+        if plan.worst > (1 << 62):
             raise ScanOverflowError("ellipsoid accumulator would overflow int64")
-        ell_bound = min(ell_bound, worst)
-    yield from _scan_region(lo, shape, embed, emb_lo - margin, emb_hi + margin,
-                            ell, ell_bound, job.skip_zero, limit, chunk, job.lattice)
-
-
-def _scan_region(lo, shape, embed, low, high, ell, ell_bound, skip_zero, limit, chunk,
-                 lattice):
-    # The body of scan_box: per-prefix last-axis intervals, then the
-    # per-point test on the candidates they hold.  Prefixes are materialized
-    # from a running index p over mixed-radix digits: the box coordinates
-    # themselves on unit steps, lattice digits t_j otherwise.
-    m = lo.shape[0]
-    last = m - 1
-    w = int(shape[last])
-    lo_last = int(lo[last])
-    hi_last = lo_last + w - 1
-    n_prefix = -(-limit // w)  # box prefixes; the last one may be clipped by the budget
-    if lattice is None:
-        step = 1
-        radix = shape[:last]
-        n_index = n_prefix
-    else:
-        steps = np.array(lattice.steps, dtype=np.int64)
-        step = int(steps[last])
-        radix = -(-shape[:last] // steps[:last])
-        n_index = int(np.prod(radix.astype(object)))
-    per = max(1, chunk // -(-w // step))
-    e_last = embed[:, last]
-    radius = np.maximum(np.abs(lo), np.abs(lo + shape - 1)).astype(np.float64)
-    reach = np.abs(embed[:, :last]) @ radius[:last]
+        ell_bound = min(ell_bound, plan.worst)
+    margin = job.margin.astype(np.float64)
+    low = job.emb_lo.astype(np.float64) - margin
+    high = job.emb_hi.astype(np.float64) + margin
     bound = np.maximum(np.abs(low), np.abs(high))
     with np.errstate(divide="ignore"):
-        cuts = (reach + bound) / np.abs(e_last) + radius.max() <= 2.0 ** 48
-    origin = -1  # box prefix index of the origin's prefix when skip_zero drops it
-    if skip_zero and np.all(lo <= 0) and np.all(lo + shape > 0):
-        origin = 0
-        for axis in range(last):
-            origin = origin * int(shape[axis]) - int(lo[axis])
+        cuts = (plan.reach + bound) / np.abs(plan.e_last) + plan.radius <= 2.0 ** 48
     done = 0  # box points covered by the earlier yields
-    p0 = 0
-    while p0 < n_index:
-        p1 = min(p0 + per, n_index)
+    for block in plan.blocks():
+        if block.count:
+            rows = _survivors(plan, block, low, high, cuts, ell_bound)
+        elif block.final and done < limit:
+            # a lattice pass with no prefix in the box closes the count
+            rows = np.empty((0, plan.m), dtype=np.int64)
+        else:
+            continue
+        yield rows, block.reached - done
+        done = block.reached
+
+
+class _PlanMemo:
+    """The most recently used plans, holding at most ``PLAN_ROWS`` prefix rows.
+
+    A plan counts the rows of its one-pass block, and at least one; a plan
+    that alone holds more is built for its call and not kept.  The key holds
+    every input a plan reads: the box, the embedding and ellipsoid
+    coefficients, skip_zero, the point limit, the chunk and the lattice.  The
+    lattice is keyed by identity, and the plan holds it, so its id is not
+    reused while the plan is kept.
+    """
+
+    def __init__(self):
+        self.plans = OrderedDict()
+        self.rows = 0
+
+    def clear(self):
+        self.plans.clear()
+        self.rows = 0
+
+    def plan(self, job, limit, chunk):
+        embed = np.asarray(job.embed, dtype=np.float64)
+        key = (np.asarray(job.lo, dtype=np.int64).tobytes(),
+               np.asarray(job.hi, dtype=np.int64).tobytes(),
+               embed.shape, embed.tobytes(), np.asarray(job.ell_coeffs, dtype=np.int64).tobytes(),
+               bool(job.skip_zero), limit, chunk, id(job.lattice))
+        plan = self.plans.get(key)
+        if plan is not None:
+            self.plans.move_to_end(key)
+            return plan
+        plan = _Plan(job, limit, chunk)
+        if plan.rows <= PLAN_ROWS:
+            self.plans[key] = plan
+            self.rows += plan.rows
+            while self.rows > PLAN_ROWS:
+                self.rows -= self.plans.popitem(last=False)[1].rows
+        return plan
+
+
+_PLANS = _PlanMemo()
+
+
+class _Plan:
+    """Everything a scan derives from its geometry alone.
+
+    The geometry is the box, the embedding coefficients, the ellipsoid form's
+    coefficients, the lattice, skip_zero, the point limit and the chunk; the
+    windows and the ellipsoid bound are not part of it.  Prefixes are indexed
+    by a running index p over mixed-radix digits (``radix``): the box
+    coordinates themselves on unit steps, lattice digits t_j otherwise, in
+    passes of ``per`` indices.  A scan that fits in one pass keeps that pass's
+    ``_Block`` here, so a repeated geometry builds its prefixes once.
+    """
+
+    __slots__ = ("lattice", "lo", "shape", "embed", "ell", "m", "last", "w", "limit",
+                 "lo_last", "hi_last", "below", "above", "n_prefix", "step", "radix",
+                 "n_index", "per", "e_last", "reach", "radius", "worst", "origin", "block",
+                 "rows")
+
+    def __init__(self, job, limit, chunk):
+        lattice = job.lattice
+        lo = job.lo.astype(np.int64)
+        shape = job.shape.astype(np.int64)
+        embed = np.array(job.embed, dtype=np.float64, order="C")
+        ell = job.ell_coeffs.astype(np.int64)
+        _freeze(lo, shape, embed, ell)  # before any view is taken, so views are read-only too
+        m = lo.shape[0]
+        last = m - 1
+        w = int(shape[last])
+        self.lattice = lattice
+        self.lo, self.shape, self.embed, self.ell = lo, shape, embed, ell
+        self.m, self.last, self.w, self.limit = m, last, w, limit
+        self.lo_last = int(lo[last])
+        self.hi_last = self.lo_last + w - 1
+        self.below, self.above = float(self.lo_last - 1), float(self.hi_last + 1)
+        self.n_prefix = -(-limit // w)  # box prefixes; the last one may be clipped by the limit
+        if lattice is None:
+            self.step = 1
+            self.radix = shape[:last]
+            self.n_index = self.n_prefix
+        else:
+            steps = np.array(lattice.steps, dtype=np.int64)
+            self.step = int(steps[last])
+            self.radix = -(-shape[:last] // steps[:last])
+            self.n_index = int(np.prod(self.radix.astype(object)))
+        self.per = max(1, chunk // -(-w // self.step))
+        self.e_last = embed[:, last]
+        radius = np.maximum(np.abs(lo), np.abs(lo + shape - 1)).astype(np.float64)
+        self.reach = np.abs(embed[:, :last]) @ radius[:last]
+        self.radius = radius.max()  # the box's largest |coordinate|
+        self.worst = sum(max(abs(int(a)), abs(int(b))) ** 2 * int(e)
+                         for a, b, e in zip(job.lo, job.hi, ell))
+        self.origin = -1  # box prefix index of the origin's prefix when skip_zero drops it
+        if job.skip_zero and np.all(lo <= 0) and np.all(lo + shape > 0):
+            self.origin = 0
+            for axis in range(last):
+                self.origin = self.origin * int(shape[axis]) - int(lo[axis])
+        self.block = _Block(self, 0, self.n_index) if self.n_index <= self.per else None
+        self.rows = max(1, self.block.count) if self.block is not None else 1
+        _freeze(self.radix, self.reach)
+
+    def blocks(self):
+        """The scan's passes in order, the last one final."""
+        if self.block is not None:
+            yield self.block
+            return
+        p0 = 0
+        while True:
+            p1 = min(p0 + self.per, self.n_index)
+            block = _Block(self, p0, p1)
+            yield block
+            if block.final:
+                return
+            p0 = p1
+
+
+class _Block:
+    """The prefixes of one pass (indices [p0, p1)) and their window-free sums.
+
+    ``partial[s]`` is embedding s's float sum over the prefix axes, in the
+    per-point test's order, and ``q_prefix`` the ellipsoid form over them;
+    ``n_hi`` holds the last axis's upper ends where only the box and the
+    limit clip them; ``reached`` is the box points covered through this pass.
+    """
+
+    __slots__ = ("count", "prefix", "residue", "origin_row", "final", "reached",
+                 "n_hi", "partial", "q_prefix")
+
+    def __init__(self, plan, p0, p1):
+        last = plan.last
         idx = np.arange(p0, p1, dtype=np.int64)
         prefix = np.empty((last, p1 - p0), dtype=np.int64)
         for axis in range(last - 1, -1, -1):
-            idx, prefix[axis] = np.divmod(idx, radix[axis])
-        final = p1 == n_index
-        if lattice is None:
-            prefix += lo[:last, None]
-            last_flat = p1 - 1  # box prefix index of the last row
-            j = origin - p0  # the origin's row
+            idx, prefix[axis] = np.divmod(idx, plan.radix[axis])
+        final = p1 == plan.n_index
+        if plan.lattice is None:
+            prefix += plan.lo[:last, None]
             residue = None
+            last_flat = p1 - 1  # box prefix index of the last row
+            j = plan.origin - p0  # the origin's row
         else:
-            prefix, flat, residue, cut = _lattice_prefixes(prefix, lo, shape, lattice, n_prefix)
+            prefix, flat, residue, cut = _lattice_prefixes(prefix, plan.lo, plan.shape,
+                                                           plan.lattice, plan.n_prefix)
             final = final or cut
-            if not len(flat):
-                if final:
-                    if done < limit:
-                        yield np.empty((0, m), dtype=np.int64), limit - done
-                    return
-                p0 = p1
-                continue
-            last_flat = int(flat[-1])
-            j = int(np.searchsorted(flat, origin))
-            if j == len(flat) or flat[j] != origin:
+            last_flat = int(flat[-1]) if len(flat) else -1
+            j = int(np.searchsorted(flat, plan.origin))
+            if j == len(flat) or flat[j] != plan.origin:
                 j = -1
-        count = prefix.shape[1]
-        n_lo = np.full(count, lo_last, dtype=np.int64)
-        n_hi = np.full(count, hi_last, dtype=np.int64)
-        if last_flat == n_prefix - 1:
-            n_hi[-1] = lo_last + (limit - (n_prefix - 1) * w) - 1
-        alive = np.ones(count, dtype=np.bool_)
-        partial = np.zeros((embed.shape[0], count), dtype=np.float64)
-        for s in range(embed.shape[0]):
-            if last:
+        self.count = count = prefix.shape[1]
+        self.final = final
+        self.reached = plan.limit if final else min((last_flat + 1) * plan.w, plan.limit)
+        self.prefix, self.residue, self.origin_row = prefix, residue, j
+        self.n_hi = np.full(count, plan.hi_last, dtype=np.int64)
+        if count and last_flat == plan.n_prefix - 1:
+            self.n_hi[-1] = plan.lo_last + (plan.limit - (plan.n_prefix - 1) * plan.w) - 1
+        embed = plan.embed
+        self.partial = np.zeros((embed.shape[0], count), dtype=np.float64)
+        if last:
+            for s in range(embed.shape[0]):
                 # acc = ((c_0 e_0) + c_1 e_1) + ...: the per-point order.
                 acc = prefix[0] * embed[s, 0]
                 for axis in range(1, last):
                     acc += prefix[axis] * embed[s, axis]
-                partial[s] = acc
-            e = e_last[s]
-            if e == 0.0:
-                alive &= (partial[s] >= low[s]) & (partial[s] <= high[s])
-            elif cuts[s]:
-                a = (low[s] - partial[s]) / e
-                b = (high[s] - partial[s]) / e
-                if e < 0.0:
-                    a, b = b, a
-                a = np.clip(np.ceil(a), lo_last - 1, hi_last + 1).astype(np.int64)
-                b = np.clip(np.floor(b), lo_last - 1, hi_last + 1).astype(np.int64)
-                np.maximum(n_lo, a - SLACK, out=n_lo)
-                np.minimum(n_hi, b + SLACK, out=n_hi)
-        if ell_bound >= 0:
-            q_prefix = np.zeros(count, dtype=np.int64)
-            for axis in range(last):
-                q_prefix += prefix[axis] * prefix[axis] * ell[axis]
-            rem = ell_bound - q_prefix
-            alive &= rem >= 0
-            if ell[last] > 0:
-                root = np.floor(np.sqrt(np.maximum(rem, 0) // ell[last]))
-                root = root.astype(np.int64) + SLACK
-                np.maximum(n_lo, -root, out=n_lo)
-                np.minimum(n_hi, root, out=n_hi)
-        # the last axis runs from its first admissible value by ``step``
-        first = n_lo if residue is None else n_lo + (residue - n_lo) % step
-        counts = np.where(alive, np.maximum((n_hi - first) // step + 1, 0), 0)
-        covered = (limit if final else min((last_flat + 1) * w, limit)) - done
-        done += covered
-        n_cand = int(counts.sum())
-        rep = np.repeat(np.arange(count), counts)
-        starts = np.cumsum(counts) - counts
-        last_coord = (np.arange(0, n_cand * step, step, dtype=np.int64)
-                      + np.repeat(first - starts * step, counts))
-        keep = np.ones(n_cand, dtype=np.bool_)
-        for s in range(embed.shape[0]):
-            acc = partial[s][rep] + last_coord * e_last[s]
-            keep &= (acc >= low[s]) & (acc <= high[s])
-        if ell_bound >= 0:
-            q = q_prefix[rep] + last_coord * last_coord * ell[last]
-            keep &= q <= ell_bound
-        if 0 <= j < count and counts[j]:
-            offset, off_lattice = divmod(-int(first[j]), step)
-            if not off_lattice and 0 <= offset < counts[j]:
-                keep[starts[j] + offset] = False
-        rows = np.empty((int(keep.sum()), m), dtype=np.int64)
-        rows[:, :last] = prefix[:, rep[keep]].T
-        rows[:, last] = last_coord[keep]
-        yield rows, covered
-        if final:
-            return
-        p0 = p1
+                self.partial[s] = acc
+        # meaningful only where worst <= 2^62, the one case scan_box reads it
+        self.q_prefix = np.zeros(count, dtype=np.int64)
+        for axis in range(last):
+            self.q_prefix += prefix[axis] * prefix[axis] * plan.ell[axis]
+        _freeze(prefix, residue, self.n_hi, self.partial, self.q_prefix)
+
+
+def _freeze(*arrays):
+    for a in arrays:
+        if a is not None:
+            a.flags.writeable = False
+
+
+def _survivors(plan, block, low, high, cuts, ell_bound):
+    """The survivor rows of one pass under one call's windows and ellipsoid bound."""
+    count = block.count
+    last, step, e_last, ell = plan.last, plan.step, plan.e_last, plan.ell
+    n_lo = np.full(count, plan.lo_last, dtype=np.int64)
+    n_hi = block.n_hi.copy()
+    alive = np.ones(count, dtype=np.bool_)
+    partial = block.partial
+    for s in range(partial.shape[0]):
+        e = e_last[s]
+        if e == 0.0:
+            alive &= (partial[s] >= low[s]) & (partial[s] <= high[s])
+        elif cuts[s]:
+            a = (low[s] - partial[s]) / e
+            b = (high[s] - partial[s]) / e
+            if e < 0.0:
+                a, b = b, a
+            # clipped to one past the box, so the int64 conversion is exact
+            a = np.minimum(np.maximum(np.ceil(a), plan.below), plan.above).astype(np.int64)
+            b = np.minimum(np.maximum(np.floor(b), plan.below), plan.above).astype(np.int64)
+            np.maximum(n_lo, a - SLACK, out=n_lo)
+            np.minimum(n_hi, b + SLACK, out=n_hi)
+    q_prefix = block.q_prefix
+    if ell_bound >= 0:
+        rem = ell_bound - q_prefix
+        alive &= rem >= 0
+        if ell[last] > 0:
+            root = np.floor(np.sqrt(np.maximum(rem, 0) // ell[last]))
+            root = root.astype(np.int64) + SLACK
+            np.maximum(n_lo, -root, out=n_lo)
+            np.minimum(n_hi, root, out=n_hi)
+    # the last axis runs from its first admissible value by ``step``
+    first = n_lo if block.residue is None else n_lo + (block.residue - n_lo) % step
+    counts = np.where(alive, np.maximum((n_hi - first) // step + 1, 0), 0)
+    n_cand = int(counts.sum())
+    rep = np.repeat(np.arange(count), counts)
+    starts = np.cumsum(counts) - counts
+    last_coord = (np.arange(0, n_cand * step, step, dtype=np.int64)
+                  + np.repeat(first - starts * step, counts))
+    keep = np.ones(n_cand, dtype=np.bool_)
+    for s in range(partial.shape[0]):
+        acc = partial[s][rep] + last_coord * e_last[s]
+        keep &= (acc >= low[s]) & (acc <= high[s])
+    if ell_bound >= 0:
+        q = q_prefix[rep] + last_coord * last_coord * ell[last]
+        keep &= q <= ell_bound
+    j = block.origin_row
+    if 0 <= j < count and counts[j]:
+        offset, off_lattice = divmod(-int(first[j]), step)
+        if not off_lattice and 0 <= offset < counts[j]:
+            keep[starts[j] + offset] = False
+    rows = np.empty((int(keep.sum()), plan.m), dtype=np.int64)
+    rows[:, :last] = block.prefix[:, rep[keep]].T
+    rows[:, last] = last_coord[keep]
+    return rows
 
 
 def _lattice_prefixes(digits, lo, shape, lattice, n_prefix):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import mqf.kernels
 from mqf.certifier import dumps_canonical
 from mqf.cli import main
 from mqf.errors import ExprError
@@ -222,6 +223,33 @@ def test_cli_tower_deep_verify(tmp_path, capsys):
     assert data["top_certificate"]["conclusion"] == {"m_lower_bound": 2}
     assert run_cli("verify", str(tfile)) == 0
     capsys.readouterr()
+
+
+def test_cli_pool_matches_serial_with_warm_plans(tmp_path, monkeypatch, capsys):
+    # two CPUs, so --jobs 2 runs the three pairs in two worker processes;
+    # the witness search fills the kernel's plan memo first, and no task
+    # may carry a plan across
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+
+    def refuse(self, protocol):
+        raise AssertionError("a scan plan was pickled")
+
+    monkeypatch.setattr(mqf.kernels._Plan, "__reduce_ex__", refuse)
+    wfile = tmp_path / "w.json"
+    assert run_cli("witness", "--N", "3", "--D", "55", "--out", str(wfile)) == 0
+    assert mqf.kernels._PLANS.plans
+    outputs = {}
+    for jobs in ("1", "2"):
+        cfile = tmp_path / jobs / "cert.json"
+        cfile.parent.mkdir()
+        capsys.readouterr()
+        assert run_cli("certify", "--in", str(wfile), "--jobs", jobs, "--out", str(cfile)) == 0
+        certify = capsys.readouterr()
+        assert run_cli("verify", str(cfile), "--jobs", jobs) == 0
+        verify = capsys.readouterr()
+        outputs[jobs] = (cfile.read_bytes(), certify, verify)
+    assert outputs["1"] == outputs["2"]
+    assert "verified" in outputs["2"][2].out
 
 
 def _nested(inner: str) -> str:

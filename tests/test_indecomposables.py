@@ -5,11 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_tp_integer
+from conftest import random_element, random_tp_integer
 from mqf.errors import NotIntegralError, NotTotallyPositiveError, WrongDegreeError
 from mqf.fields import make_field
 from mqf.indecomposables import (
     Verdict,
+    _trace_of_square,
     classify_indecomposable,
     exhaustive_indecomposable,
     is_primitive,
@@ -277,3 +278,22 @@ def test_verdict_json(q2):
     data = v.to_json()
     assert data["verdict"] == "decomposable"
     assert data["witness"] == {"coeffs": {"0": "1/1"}}
+
+
+def test_trace_of_square_closed_form():
+    # denominators 1 to 8 in k = 1, 2, 3 fields: integral or not, totally
+    # positive or not
+    rng = random.Random(20261019)
+    fields = [make_field(p) for p in ([2], [5], [13], [2, 3], [5, 13], [6, 10],
+                                      [2, 3, 5], [3, 7, 11])]
+    integral = positive = 0
+    for field in fields:
+        for _ in range(40):
+            x = random_element(field, rng, denominators=(1, 2, 4, 8))
+            assert _trace_of_square(x) == (x * x).trace()
+            integral += is_algebraic_integer(x)
+            positive += x.is_totally_positive()
+        for _ in range(5):
+            x = random_tp_integer(field, rng)
+            assert _trace_of_square(x) == (x * x).trace()
+    assert 0 < integral < 320 and 0 < positive < 320

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -400,3 +401,193 @@ def test_random_lattice_jobs_match_reference():
         _check_budgets(job, budgets, chunks=(chunk,))
         survivors += len(_reference_scan(job))
     assert survivors > 200
+
+
+# ---------------------------------------------------------------------------
+# the plan memo: a repeated geometry reuses its plan, and nothing else does
+# ---------------------------------------------------------------------------
+
+def _yields(job, budget=None, chunk=mqf.kernels.CHUNK):
+    out = []
+    for coords, n in scan_box(job, budget=budget, chunk=chunk):
+        assert coords.dtype == np.int64 and coords.shape[1] == job.lo.shape[0]
+        out.append((_rows(coords), n))
+    return out
+
+
+def _cold(job, budget=None, chunk=mqf.kernels.CHUNK):
+    mqf.kernels._PLANS.clear()
+    return _yields(job, budget, chunk)
+
+
+def _plan_count():
+    return len(mqf.kernels._PLANS.plans)
+
+
+def _with_windows(job, rng):
+    """The same geometry under other embedding windows and another ellipsoid bound."""
+    n_emb = job.embed.shape[0]
+    center = rng.normal(size=n_emb) * 3.0
+    emb_lo = center - rng.uniform(0.0, 4.0, size=n_emb)
+    emb_hi = center + rng.uniform(0.0, 4.0, size=n_emb)
+    margin = embedding_margin(emb_lo, emb_hi, job.embed, job.lo, job.hi)
+    ell_bound = int(rng.integers(-1, 60))
+    return BoxScan(job.lo, job.hi, job.embed, emb_lo, emb_hi, margin, job.ell_coeffs,
+                   ell_bound, job.skip_zero, job.lattice)
+
+
+def _check_cold_and_warm(population, rng):
+    """Each job cold, then warm, then a job of its geometry with other windows."""
+    for job, budgets, chunk in population:
+        sibling = _with_windows(job, rng)
+        for budget in budgets:
+            cold = _cold(job, budget, chunk)
+            kept = _plan_count()
+            assert _yields(job, budget, chunk) == cold
+            warm_sibling = _yields(sibling, budget, chunk)
+            assert _plan_count() == kept  # the sibling reused the job's plan
+            assert warm_sibling == _cold(sibling, budget, chunk)
+            for scan, want in ((cold, job), (warm_sibling, sibling)):
+                assert [row for rows, _ in scan for row in rows] == \
+                    _reference_scan(want, stop=budget)
+                assert sum(n for _, n in scan) == min(job.total_points(), budget)
+
+
+def test_random_jobs_cold_and_warm():
+    # the population of test_random_jobs_match_reference, drawn in its order
+    rng = np.random.default_rng(20261018)
+    population = []
+    for _ in range(300):
+        job = _random_job(rng)
+        total = job.total_points()
+        budgets = [total, int(rng.integers(1, total + 3))]
+        population.append((job, budgets, int(rng.integers(1, 40))))
+    _check_cold_and_warm(population, np.random.default_rng(1))
+
+
+def test_random_lattice_jobs_cold_and_warm():
+    # the population of test_random_lattice_jobs_match_reference, in its order
+    rng = np.random.default_rng(20261019)
+    population = []
+    for _ in range(200):
+        job = _random_job(rng)
+        job = _with_lattice(job, _random_lattice(rng, job.lo.shape[0]))
+        total = job.total_points()
+        budgets = [total, int(rng.integers(1, total + 3))]
+        population.append((job, budgets, int(rng.integers(1, 41))))
+    _check_cold_and_warm(population, np.random.default_rng(2))
+
+
+def _variants(job):
+    """Jobs that differ from ``job`` in one input of its plan each."""
+    lattice = job.lattice
+    other_residues = Lattice(lattice.modulus, lattice.steps,
+                             lattice.residues[:-1] + ((lattice.residues[-1] + 1) % 2,))
+    equal_content = Lattice(lattice.modulus, tuple(lattice.steps),
+                            tuple(r.copy() for r in lattice.residues))
+    embed = job.embed.copy()
+    embed[0, 0] *= 1.5
+    return {
+        "skip_zero": replace(job, skip_zero=not job.skip_zero),
+        "ell_coeffs": replace(job, ell_coeffs=job.ell_coeffs + 1),
+        "embed": replace(job, embed=embed),
+        "residues": replace(job, lattice=other_residues),
+        "equal-content lattice": replace(job, lattice=equal_content),
+    }
+
+
+def test_plan_key_separates_geometries():
+    # the origin's prefix is a lattice prefix, so skip_zero matters, and the
+    # residue change moves the last axis's class
+    job = _job([-4, -5], [4, 5], [[1.0, 0.4], [1.0, -0.4]], [-3.0, -3.0], [3.0, 3.0],
+               ell=[1, 2], ell_bound=30, lattice=Lattice(2, (1, 2), (np.array([0]),
+                                                                     np.array([0, 1]))))
+    base = _cold(job)
+    assert _reference_scan(job) and _plan_count() == 1
+    for name, variant in _variants(job).items():
+        mqf.kernels._PLANS.clear()
+        _yields(job)
+        got = _yields(variant)
+        assert _plan_count() == 2, name
+        assert got == _cold(variant), name
+        assert [row for rows, _ in got for row in rows] == _reference_scan(variant), name
+    # the point limit and the chunk
+    total = job.total_points()
+    for budget, chunk in ((total - 7, mqf.kernels.CHUNK), (None, 3), (None, 4)):
+        mqf.kernels._PLANS.clear()
+        _yields(job)
+        got = _yields(job, budget, chunk)
+        assert _plan_count() == 2, (budget, chunk)
+        assert got == _cold(job, budget, chunk)
+        assert [row for rows, _ in got for row in rows] == _reference_scan(job, stop=budget)
+    # a budget past the box sets the same limit as none, so it reads the same plan
+    mqf.kernels._PLANS.clear()
+    _yields(job)
+    assert _yields(job, total + 5) == base and _plan_count() == 1
+
+
+def test_cached_plan_arrays_are_read_only():
+    mqf.kernels._PLANS.clear()
+    for job, lattice in ((JOBS[2], None), (JOBS[2], LATTICES[2]), (JOBS[0], LATTICES[0])):
+        _yields(_with_lattice(job, lattice))
+    arrays = []
+    for plan in mqf.kernels._PLANS.plans.values():
+        for holder in (plan, plan.block):
+            arrays += [getattr(holder, name) for name in holder.__slots__
+                       if isinstance(getattr(holder, name), np.ndarray)]
+    assert len(arrays) > 20
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0
+
+
+def test_plan_memo_is_bounded_by_prefix_rows():
+    # one pass of 1,000 one-point prefixes per box; 40 distinct boxes
+    memo = mqf.kernels._PLANS
+    memo.clear()
+    jobs = [_job([i, 0], [i + 999, 0], [[1.0, 1.0]], [-1.0], [1.0]) for i in range(40)]
+    for job in jobs:
+        _yields(job)
+        assert memo.rows == sum(plan.rows for plan in memo.plans.values())
+        assert memo.rows <= mqf.kernels.PLAN_ROWS
+    assert len(memo.plans) == mqf.kernels.PLAN_ROWS // 1000
+    assert all(plan.rows == 1000 for plan in memo.plans.values())
+    # a repeated box becomes the most recent; a new one evicts the least recent
+    plans = list(memo.plans.values())  # the last 16 boxes, oldest first
+    _yields(jobs[40 - len(plans)])
+    assert list(memo.plans.values()) == plans[1:] + plans[:1]
+    _yields(jobs[0])
+    assert list(memo.plans.values())[:-1] == plans[2:] + plans[:1]
+    assert memo.rows == len(plans) * 1000
+    # a plan that alone holds more rows than the bound is built but not kept
+    big = _job([0, 0], [mqf.kernels.PLAN_ROWS, 0], [[1.0, 1.0]], [-1.0], [1.0])
+    assert _yields(big) == [([(1, 0)], big.total_points())]
+    assert len(memo.plans) == len(plans) and memo.rows == len(plans) * 1000
+
+
+# (survivors, covered) of every yield, as the scan has always split them:
+# one 9-point prefix per pass, then passes of 4 and 2 lattice prefixes
+MULTI_PASS = [
+    (JOBS[2], None, 7, None),
+    (JOBS[2], LATTICES[2], 20, [(3, 243), (5, 324), (2, 972), (5, 324), (3, 324), (3, 972),
+                                (4, 324), (2, 972), (5, 324), (3, 324), (3, 972), (5, 324),
+                                (1, 162)]),
+    (JOBS[0], LATTICES[0], 13, [(0, 13)] * 8 + [(1, 13), (2, 13), (1, 13), (0, 13), (1, 13)]),
+]
+
+
+@pytest.mark.parametrize("job, lattice, chunk, split", MULTI_PASS)
+def test_multi_pass_scan_is_unchanged(job, lattice, chunk, split):
+    job = _with_lattice(job, lattice)
+    cold = _cold(job, chunk=chunk)
+    (plan,) = mqf.kernels._PLANS.plans.values()
+    assert plan.block is None and plan.n_index > plan.per  # several passes, built per pass
+    assert _yields(job, chunk=chunk) == cold
+    if split is None:
+        split = [(len(rows), 9) for rows, _ in cold]
+        assert len(split) == 729
+    assert [(len(rows), n) for rows, n in cold] == split
+    survivors = [row for rows, _ in cold for row in rows]
+    assert survivors == _reference_scan(job)
+    assert survivors == [row for rows, _ in _cold(job) for row in rows]  # in one pass
