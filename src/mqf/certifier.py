@@ -224,7 +224,7 @@ def pair_condition_certify(a: FieldElement, b: FieldElement, *, i: int = 0, j: i
     field = a.field
     box, emb_hi, ell_bound = _pair_region(a, b)
     fourab = a * b * 4
-    job = box.scan_job(-emb_hi, emb_hi, ell_bound=ell_bound, skip_zero=True)
+    job = box.scan_job(-emb_hi, emb_hi, ell_bound=ell_bound)
     total = job.total_points()
 
     survivors = []
@@ -235,6 +235,7 @@ def pair_condition_certify(a: FieldElement, b: FieldElement, *, i: int = 0, j: i
             survivors.append(coords)
     stacked = (np.concatenate(survivors, axis=0) if survivors
                else np.empty((0, field.degree), dtype=np.int64))
+    stacked = stacked[stacked.any(axis=1)]  # c = 0 is the one point the condition allows
 
     near_misses = 0
     violations: list[FieldElement] = []

@@ -10,6 +10,7 @@ its own enumeration certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import isqrt
 
 from .certifier import DEFAULT_PAIR_BUDGET, WitnessSet, certify_witness_set
@@ -33,11 +34,6 @@ class CFExpansion:
     D: int
     a0: int
     period: tuple[int, ...]
-
-    def partial_quotient(self, n: int) -> int:
-        if n == 0:
-            return self.a0
-        return self.period[(n - 1) % len(self.period)]
 
     def to_json(self) -> dict:
         return {"D": self.D, "a0": self.a0, "period": list(self.period)}
@@ -80,20 +76,22 @@ def cf_expand(D: int) -> CFExpansion:
             return CFExpansion(D, a0, tuple(period))
 
 
+def _convergents(D: int, P: int, Q: int):
+    """Yield the convergents (p_n, q_n), n = -1, 0, 1, ..., of xi = (P +
+    sqrt(D))/Q, from (p_(-2), q_(-2)) = (0, 1) and (p_(-1), q_(-1)) = (1, 0)
+    by p_n = a_n p_(n-1) + p_(n-2), and likewise q_n, over ``_cf_terms``."""
+    p_old, q_old, p, q = 0, 1, 1, 0
+    yield p, q
+    for a, _ in _cf_terms(D, P, Q):
+        p_old, q_old, p, q = p, q, a * p + p_old, a * q + q_old
+        yield p, q
+
+
 def convergents(cf: CFExpansion, count: int) -> list[tuple[int, int]]:
-    """First ``count`` convergents (p_n, q_n), n = 0 .. count-1."""
+    """First ``count`` convergents (p_n, q_n), n = 0 .. count-1, of sqrt(D)."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    out = []
-    p_prev, p_cur = 1, cf.a0
-    q_prev, q_cur = 0, 1
-    out.append((p_cur, q_cur))
-    for n in range(1, count):
-        a = cf.partial_quotient(n)
-        p_prev, p_cur = p_cur, a * p_cur + p_prev
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
-        out.append((p_cur, q_cur))
-    return out
+    return list(islice(_convergents(cf.D, 0, 1), 1, count + 1))
 
 
 def _convergent_chain(D: int):
@@ -101,22 +99,17 @@ def _convergent_chain(D: int):
     alpha_n = p_n + q_n omega for n = -1, 0, 1, ...
 
     Here omega = sqrt(D), or (1 + sqrt(D))/2 when D = 1 mod 4, and p_n/q_n are
-    the convergents of xi = -omega'.  The recurrence alpha_n = a_n alpha_(n-1)
-    + alpha_(n-2) starts from alpha_(-2) = omega and alpha_(-1) = 1.  Up to
-    sign, the alpha_n and their conjugates are the relative minima of O_K
-    (Voronoi), and their larger embeddings p_n + q_n omega increase with n.
+    the convergents of xi = -omega', so alpha_n = a_n alpha_(n-1) +
+    alpha_(n-2) from alpha_(-2) = omega and alpha_(-1) = 1.  Up to sign, the
+    alpha_n and their conjugates are the relative minima of O_K (Voronoi),
+    and their larger embeddings p_n + q_n omega increase with n.
     """
     if D % 4 == 1:
-        terms = _cf_terms(D, -1, 2)
-        older = (1, 1)
+        for p, q in _convergents(D, -1, 2):
+            yield 2 * p + q, q
     else:
-        terms = _cf_terms(D, 0, 1)
-        older = (0, 2)
-    prev = (2, 0)
-    yield prev
-    for a, _ in terms:
-        older, prev = prev, (a * prev[0] + older[0], a * prev[1] + older[1])
-        yield prev
+        for p, q in _convergents(D, 0, 1):
+            yield 2 * p, 2 * q
 
 
 def _twice_embedding_floor(D: int, n0: int, n1: int) -> int:

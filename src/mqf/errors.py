@@ -106,10 +106,6 @@ class BaseWitnessNotFoundError(WitnessNotFoundError):
     """Tower construction failed at the quadratic base case."""
 
 
-class DegeneratePartError(MqfError):
-    """c = u + v*sqrt(q) was required to have both parts nonzero."""
-
-
 class MalformedPayloadError(MqfError):
     """A JSON artifact does not have the shape or the types that mqf writes."""
 

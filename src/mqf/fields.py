@@ -60,11 +60,11 @@ def json_value(value, kind: type, what: str, *, minimum: int | None = None):
     return value
 
 
-def squarefree_part(n: int) -> int:
-    """Largest squarefree divisor d of n with n/d a perfect square (n >= 1)."""
+def factor(n: int) -> dict[int, int]:
+    """The prime factorization {p: e} of n >= 1, by trial division."""
     if n < 1:
-        raise ValueError("squarefree_part requires n >= 1")
-    part = 1
+        raise ValueError("factor requires n >= 1")
+    out = {}
     d = 2
     while d * d <= n:
         if n % d == 0:
@@ -72,10 +72,20 @@ def squarefree_part(n: int) -> int:
             while n % d == 0:
                 n //= d
                 e += 1
-            if e % 2:
-                part *= d
+            out[d] = e
         d += 1 if d == 2 else 2
-    return part * n
+    if n > 1:
+        out[n] = 1
+    return out
+
+
+def squarefree_part(n: int) -> int:
+    """Largest squarefree divisor d of n with n/d a perfect square (n >= 1)."""
+    part = 1
+    for p, e in factor(n).items():
+        if e & 1:
+            part *= p
+    return part
 
 
 def is_squarefree(n: int) -> bool:
@@ -291,6 +301,26 @@ def _scaled(coeffs: Mapping[int, Fraction]) -> tuple[int, dict[int, int]]:
     """(d, n) with coeffs[I] = n[I] / d and d the least common denominator."""
     den = lcm(*(c.denominator for c in coeffs.values()))
     return den, {m: c.numerator * (den // c.denominator) for m, c in coeffs.items()}
+
+
+def _scaled_char_poly(field: MultiquadField, coords: Sequence[int]) -> list[int]:
+    """Coefficients of prod_s (T - sigma_s(x)) for x = sum_I coords[I] sqrt(p_I)
+    with integer coords, constant term first; integers, since x is integral."""
+    base = {m: c for m, c in enumerate(coords) if c}
+    poly: list[dict[int, int]] = [{0: 1}]
+    for smask in range(field.degree):
+        conj = {m: -c if (smask & m).bit_count() & 1 else c for m, c in base.items()}
+        nxt: list[dict[int, int]] = [{} for _ in range(len(poly) + 1)]
+        for deg, coeff in enumerate(poly):
+            for m, c in coeff.items():
+                nxt[deg + 1][m] = nxt[deg + 1].get(m, 0) + c
+            for m, c in _mul_dicts(field, coeff, conj).items():
+                nxt[deg][m] = nxt[deg].get(m, 0) - c
+        poly = nxt
+    if any(c for coeff in poly for m, c in coeff.items() if m):
+        raise NonRationalCoefficientError(
+            "characteristic polynomial has a non-rational coefficient")
+    return [coeff.get(0, 0) for coeff in poly]
 
 
 def _exact_signs(field: MultiquadField, n: Mapping[int, int], smasks: Collection[int],
@@ -518,25 +548,15 @@ class FieldElement:
         return Fraction(prod.get(0, 0), den ** field.degree)
 
     def char_poly(self) -> list[Fraction]:
-        """Coefficients of prod_s (T - sigma_s(x)), constant term first, monic."""
-        field = self.field
-        poly: list[FieldElement] = [field.one()]
-        for smask in range(field.degree):
-            conj = self.conjugate(smask)
-            nxt = [field.zero() for _ in range(len(poly) + 1)]
-            for d, coeff in enumerate(poly):
-                nxt[d + 1] = nxt[d + 1] + coeff
-                nxt[d] = nxt[d] - coeff * conj
-            poly = nxt
-        out: list[Fraction] = []
-        for coeff in poly:
-            for mask, c in coeff.coeffs.items():
-                if mask != 0 and c:
-                    raise NonRationalCoefficientError(
-                        "characteristic polynomial has a non-rational coefficient"
-                    )
-            out.append(coeff.coeffs.get(0, Fraction(0)))
-        return out
+        """Coefficients of prod_s (T - sigma_s(x)), constant term first, monic.
+
+        With x = n/d for integer coordinates n, char(x)(T) = char(n)(d T) /
+        d^(2^k), so coefficient j is that of n divided by d^(2^k - j).
+        """
+        den, coords = self.scaled_coords()
+        degree = self.field.degree
+        return [Fraction(c, den ** (degree - j))
+                for j, c in enumerate(_scaled_char_poly(self.field, coords))]
 
     # -- order and sign decisions ----------------------------------------------
 

@@ -20,7 +20,7 @@ from math import gcd
 import numpy as np
 
 from .errors import NotIntegralError, NotTotallyPositiveError, WrongDegreeError
-from .fields import FieldElement
+from .fields import FieldElement, factor
 from .integers import integral_mask, is_algebraic_integer, trace_simplex_job
 from .kernels import scan_box
 
@@ -77,31 +77,6 @@ def trace_bound_holds(x: FieldElement) -> bool:
     )
 
 
-def trace_exceeds_min_radicand(x: FieldElement) -> bool:
-    """Biquadratic final clause: x not rational implies Tr(x) > min(sqrt(p), sqrt(q), sqrt(r))."""
-    if x.field.k != 2:
-        raise WrongDegreeError("the min-radicand trace clause is biquadratic (k=2)")
-    require_totally_positive_integer(x)
-    if set(x.coeffs) <= {0}:
-        return True  # rational integers are exempt
-    t = x.trace()
-    return t * t > min(x.field.radicands[1:])
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def is_primitive(x: FieldElement) -> bool:
     """True iff no rational integer n > 1 divides x inside O_K.
 
@@ -114,7 +89,7 @@ def is_primitive(x: FieldElement) -> bool:
     content = 0
     for c in coords:
         content = gcd(content, c * (scale // den))
-    for ell in _prime_factors(content):
+    for ell in factor(content):
         if is_algebraic_integer(x * Fraction(1, ell)):
             return False
     return True

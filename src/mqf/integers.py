@@ -20,32 +20,8 @@ from math import gcd, isqrt
 import numpy as np
 
 from .errors import ScanOverflowError
-from .fields import FieldElement, MultiquadField, _mul_dicts
+from .fields import FieldElement, MultiquadField, _scaled_char_poly
 from .kernels import BoxScan, Lattice, embedding_margin, scan_box
-
-
-def _scaled_char_poly(field: MultiquadField, coords: list[int]) -> list[int]:
-    """Integer char-poly coefficients of the integer-coordinate element coords.
-
-    Constant term first.  Raises if a symmetric function fails to be rational,
-    which would indicate an arithmetic bug, not bad input.
-    """
-    base = {m: c for m, c in enumerate(coords) if c}
-    poly: list[dict[int, int]] = [{0: 1}]
-    for smask in range(field.degree):
-        conj = {m: -c if (smask & m).bit_count() & 1 else c for m, c in base.items()}
-        nxt: list[dict[int, int]] = [{} for _ in range(len(poly) + 1)]
-        for deg, coeff in enumerate(poly):
-            for m, c in coeff.items():
-                nxt[deg + 1][m] = nxt[deg + 1].get(m, 0) + c
-            for m, c in _mul_dicts(field, coeff, conj).items():
-                nxt[deg][m] = nxt[deg].get(m, 0) - c
-        poly = nxt
-    out = []
-    for coeff in poly:
-        assert all(c == 0 for m, c in coeff.items() if m != 0), "non-rational symmetric function"
-        out.append(coeff.get(0, 0))
-    return out
 
 
 def _charpoly_integral(field: MultiquadField, coords: list[int], den: int) -> bool:
@@ -85,6 +61,17 @@ def integral_residue_table(field: MultiquadField) -> np.ndarray:
                 table[idx] = _charpoly_integral(field, reduced, den)
         field._residue_cache = table
     return field._residue_cache
+
+
+def _residue_index(coords, scale: int):
+    """Index into ``integral_residue_table`` of 2^k-scaled coordinates, given
+    axis by axis (ints, or int arrays of rows)."""
+    idx = 0
+    power = 1
+    for c in coords:
+        idx = idx + (c % scale) * power
+        power *= scale
+    return idx
 
 
 def residue_lattice(modulus: int, degree: int, members: np.ndarray) -> Lattice:
@@ -127,14 +114,7 @@ def integral_mask(field: MultiquadField, coords: np.ndarray) -> np.ndarray:
     On the rows of a ``ring_lattice`` scan (k <= 2) it keeps every row.
     """
     if field.k <= 2:
-        table = integral_residue_table(field)
-        scale = 1 << field.k
-        idx = np.zeros(len(coords), dtype=np.int64)
-        power = 1
-        for axis in range(field.degree):
-            idx += (coords[:, axis] % scale) * power
-            power *= scale
-        return table[idx]
+        return integral_residue_table(field)[_residue_index(coords.T, 1 << field.k)]
     return np.array(
         [is_algebraic_integer(field.from_scaled([int(v) for v in row], 1 << field.k))
          for row in coords],
@@ -152,14 +132,9 @@ def is_algebraic_integer(x: FieldElement) -> bool:
         # O_K lies inside (1/2^k) Z[sqrt(p_I)]; other denominators never occur.
         return False
     if x.field.k <= 2:
-        table = integral_residue_table(x.field)
         step = scale // den
-        idx = 0
-        power = 1
-        for c in coords:
-            idx += ((c * step) % scale) * power
-            power *= scale
-        return bool(table[idx])
+        idx = _residue_index([c * step for c in coords], scale)
+        return bool(integral_residue_table(x.field)[idx])
     return _charpoly_integral(x.field, coords, den)
 
 
@@ -177,18 +152,7 @@ class LatticeBox:
     scaled_bounds: tuple[int, ...]
     denominator: int
 
-    @property
-    def bounds(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(m, self.denominator) for m in self.scaled_bounds)
-
-    def total_points(self) -> int:
-        n = 1
-        for m in self.scaled_bounds:
-            n *= 2 * m + 1
-        return n
-
-    def scan_job(self, emb_lo, emb_hi, *, ell_bound: int = -1,
-                 skip_zero: bool = True) -> BoxScan:
+    def scan_job(self, emb_lo, emb_hi, *, ell_bound: int = -1) -> BoxScan:
         """Kernel job scanning this box against float embedding intervals."""
         field = self.field
         if max(self.scaled_bounds) > 1 << 62:
@@ -202,8 +166,7 @@ class LatticeBox:
         emb_hi = np.asarray(emb_hi, dtype=np.float64)
         margin = embedding_margin(emb_lo, emb_hi, embed, lo, hi)
         ell = np.array(field.radicands, dtype=np.int64)
-        return BoxScan(lo, hi, embed, emb_lo, emb_hi, margin, ell,
-                       int(ell_bound), skip_zero)
+        return BoxScan(lo, hi, embed, emb_lo, emb_hi, margin, ell, int(ell_bound))
 
     def element(self, coords) -> FieldElement:
         return self.field.from_scaled([int(c) for c in coords], self.denominator)
@@ -227,13 +190,12 @@ def trace_simplex_job(field: MultiquadField, trace_bound: int, emb_hi,
 
     The box is ``trace_simplex_box`` and the embedding windows are [0,
     emb_hi].  The scaled rational coordinate n_0 equals the trace, so axis 0
-    runs over [1, trace_bound], which also leaves out the origin.  For k <= 2
+    runs over [1, trace_bound], so the box never holds the origin.  For k <= 2
     the job carries ``ring_lattice``, so the scan visits O_K's points of the
     box only; its budget and covered counts are still box points.
     """
     box = trace_simplex_box(field, trace_bound)
-    job = box.scan_job(np.zeros(field.degree), emb_hi, ell_bound=ell_bound,
-                       skip_zero=False)
+    job = box.scan_job(np.zeros(field.degree), emb_hi, ell_bound=ell_bound)
     lo = job.lo.copy()
     hi = job.hi.copy()
     lo[0] = 1

@@ -6,7 +6,9 @@ values fall in per-embedding intervals (widened by a conservative margin) and
 whose exact integer ellipsoid form stays under a bound.  Survivors are handed
 back for exact rational confirmation, so the float filter only ever has to be
 a sound over-approximation: the margin absorbs all rounding error, and
-borderline candidates are resolved exactly by the caller.
+borderline candidates are resolved exactly by the caller.  Every box point is
+tested alike, the origin included; a caller that must not see a point drops
+it from the survivors.
 
 The scan enumerates the region instead of the box, in the style of
 Fincke–Pohst: for each prefix (n_0, ..., n_{m-2}) it bounds the last
@@ -35,12 +37,12 @@ the count.
 
 A scan is a plan and an execution.  The plan holds what the job's geometry
 alone decides (the box, the embedding and ellipsoid coefficients, the
-lattice, skip_zero, the point limit and the chunk): the ellipsoid guard, the
-prefix radix and pass size, the float reach, the origin's prefix and, for a
-scan that fits in one pass, that pass's prefix rows with their lattice
-residues, per-embedding partial sums and ellipsoid prefix sums.  One call
-then computes only what its embedding windows and ellipsoid bound decide:
-the last-axis intervals, the candidates, the per-point test and the rows.
+lattice, the point limit and the chunk): the ellipsoid guard, the prefix
+radix and pass size, the float reach and, for a scan that fits in one pass,
+that pass's prefix rows with their lattice residues, per-embedding partial
+sums and ellipsoid prefix sums.  One call then computes only what its
+embedding windows and ellipsoid bound decide: the last-axis intervals, the
+candidates, the per-point test and the rows.
 Plans are memoized per process, least recently used first out, holding at
 most ``PLAN_ROWS`` = 2^14 prefix rows in all (about 2.2 MB at k = 3); a scan
 of several passes keeps only its plan and builds each pass's prefixes as it
@@ -92,8 +94,9 @@ class BoxScan:
     coordinate row n has embedding values embed @ n.  emb_lo/emb_hi bound the
     acceptable embedding values; margin widens the comparison.  ell_coeffs and
     ell_bound give the exact integer test sum_I n_I^2 * ell_coeffs[I] <=
-    ell_bound (disabled when ell_bound < 0).  skip_zero drops the origin.
-    lattice, when given, restricts the scan to the box points it holds.
+    ell_bound (disabled when ell_bound < 0).  lattice, when given, restricts
+    the scan to the box points it holds.  The origin is a box point like any
+    other: a caller that must not see it drops it.
     """
 
     lo: np.ndarray
@@ -104,7 +107,6 @@ class BoxScan:
     margin: np.ndarray
     ell_coeffs: np.ndarray
     ell_bound: int
-    skip_zero: bool
     lattice: Lattice | None = None
 
     @property
@@ -187,7 +189,7 @@ class _PlanMemo:
     A plan counts the rows of its one-pass block, and at least one; a plan
     that alone holds more is built for its call and not kept.  The key holds
     every input a plan reads: the box, the embedding and ellipsoid
-    coefficients, skip_zero, the point limit, the chunk and the lattice.  The
+    coefficients, the point limit, the chunk and the lattice.  The
     lattice is keyed by identity, and the plan holds it, so its id is not
     reused while the plan is kept.
     """
@@ -205,7 +207,7 @@ class _PlanMemo:
         key = (np.asarray(job.lo, dtype=np.int64).tobytes(),
                np.asarray(job.hi, dtype=np.int64).tobytes(),
                embed.shape, embed.tobytes(), np.asarray(job.ell_coeffs, dtype=np.int64).tobytes(),
-               bool(job.skip_zero), limit, chunk, id(job.lattice))
+               limit, chunk, id(job.lattice))
         plan = self.plans.get(key)
         if plan is not None:
             self.plans.move_to_end(key)
@@ -226,18 +228,17 @@ class _Plan:
     """Everything a scan derives from its geometry alone.
 
     The geometry is the box, the embedding coefficients, the ellipsoid form's
-    coefficients, the lattice, skip_zero, the point limit and the chunk; the
-    windows and the ellipsoid bound are not part of it.  Prefixes are indexed
-    by a running index p over mixed-radix digits (``radix``): the box
-    coordinates themselves on unit steps, lattice digits t_j otherwise, in
-    passes of ``per`` indices.  A scan that fits in one pass keeps that pass's
+    coefficients, the lattice, the point limit and the chunk; the windows and
+    the ellipsoid bound are not part of it.  Prefixes are indexed by a running
+    index p over mixed-radix digits (``radix``): the box coordinates
+    themselves on unit steps, lattice digits t_j otherwise, in passes of
+    ``per`` indices.  A scan that fits in one pass keeps that pass's
     ``_Block`` here, so a repeated geometry builds its prefixes once.
     """
 
     __slots__ = ("lattice", "lo", "shape", "embed", "ell", "m", "last", "w", "limit",
                  "lo_last", "hi_last", "below", "above", "n_prefix", "step", "radix",
-                 "n_index", "per", "e_last", "reach", "radius", "worst", "origin", "block",
-                 "rows")
+                 "n_index", "per", "e_last", "reach", "radius", "worst", "block", "rows")
 
     def __init__(self, job, limit, chunk):
         lattice = job.lattice
@@ -272,11 +273,6 @@ class _Plan:
         self.radius = radius.max()  # the box's largest |coordinate|
         self.worst = sum(max(abs(int(a)), abs(int(b))) ** 2 * int(e)
                          for a, b, e in zip(job.lo, job.hi, ell))
-        self.origin = -1  # box prefix index of the origin's prefix when skip_zero drops it
-        if job.skip_zero and np.all(lo <= 0) and np.all(lo + shape > 0):
-            self.origin = 0
-            for axis in range(last):
-                self.origin = self.origin * int(shape[axis]) - int(lo[axis])
         self.block = _Block(self, 0, self.n_index) if self.n_index <= self.per else None
         self.rows = max(1, self.block.count) if self.block is not None else 1
         _freeze(self.radix, self.reach)
@@ -305,8 +301,8 @@ class _Block:
     limit clip them; ``reached`` is the box points covered through this pass.
     """
 
-    __slots__ = ("count", "prefix", "residue", "origin_row", "final", "reached",
-                 "n_hi", "partial", "q_prefix")
+    __slots__ = ("count", "prefix", "residue", "final", "reached", "n_hi", "partial",
+                 "q_prefix")
 
     def __init__(self, plan, p0, p1):
         last = plan.last
@@ -319,19 +315,15 @@ class _Block:
             prefix += plan.lo[:last, None]
             residue = None
             last_flat = p1 - 1  # box prefix index of the last row
-            j = plan.origin - p0  # the origin's row
         else:
             prefix, flat, residue, cut = _lattice_prefixes(prefix, plan.lo, plan.shape,
                                                            plan.lattice, plan.n_prefix)
             final = final or cut
             last_flat = int(flat[-1]) if len(flat) else -1
-            j = int(np.searchsorted(flat, plan.origin))
-            if j == len(flat) or flat[j] != plan.origin:
-                j = -1
         self.count = count = prefix.shape[1]
         self.final = final
         self.reached = plan.limit if final else min((last_flat + 1) * plan.w, plan.limit)
-        self.prefix, self.residue, self.origin_row = prefix, residue, j
+        self.prefix, self.residue = prefix, residue
         self.n_hi = np.full(count, plan.hi_last, dtype=np.int64)
         if count and last_flat == plan.n_prefix - 1:
             self.n_hi[-1] = plan.lo_last + (plan.limit - (plan.n_prefix - 1) * plan.w) - 1
@@ -403,11 +395,6 @@ def _survivors(plan, block, low, high, cuts, ell_bound):
     if ell_bound >= 0:
         q = q_prefix[rep] + last_coord * last_coord * ell[last]
         keep &= q <= ell_bound
-    j = block.origin_row
-    if 0 <= j < count and counts[j]:
-        offset, off_lattice = divmod(-int(first[j]), step)
-        if not off_lattice and 0 <= offset < counts[j]:
-            keep[starts[j] + offset] = False
     rows = np.empty((int(keep.sum()), plan.m), dtype=np.int64)
     rows[:, :last] = block.prefix[:, rep[keep]].T
     rows[:, last] = last_coord[keep]

@@ -6,19 +6,61 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iter_product
+from math import prod
 
 from mqf.certifier import _pair_region
 from mqf.cf import _convergent_chain, _twice_embedding_floor
 from mqf.errors import (
     BudgetExceededError,
-    DegeneratePartError,
     FieldMismatchError,
+    MqfError,
     NotIntegralError,
+    NonRationalCoefficientError,
+    WrongDegreeError,
 )
 from mqf.fields import FieldElement, MultiquadField, _mul_dicts, make_field
+from mqf.indecomposables import require_totally_positive_integer
 from mqf.integers import is_algebraic_integer
 
 UNPRUNED_POINT_CAP = 4 * 10**6
+
+
+class DegeneratePartError(MqfError):
+    """c = u + v*sqrt(q) was required to have both parts nonzero."""
+
+
+def char_poly_by_products(x: FieldElement) -> list[Fraction]:
+    """Coefficients of prod_s (T - sigma_s(x)), constant term first, built by
+    multiplying out the conjugates as field elements."""
+    field = x.field
+    poly: list[FieldElement] = [field.one()]
+    for smask in range(field.degree):
+        conj = x.conjugate(smask)
+        nxt = [field.zero() for _ in range(len(poly) + 1)]
+        for d, coeff in enumerate(poly):
+            nxt[d + 1] = nxt[d + 1] + coeff
+            nxt[d] = nxt[d] - coeff * conj
+        poly = nxt
+    out: list[Fraction] = []
+    for coeff in poly:
+        for mask, c in coeff.coeffs.items():
+            if mask != 0 and c:
+                raise NonRationalCoefficientError(
+                    "characteristic polynomial has a non-rational coefficient"
+                )
+        out.append(coeff.coeffs.get(0, Fraction(0)))
+    return out
+
+
+def trace_exceeds_min_radicand(x: FieldElement) -> bool:
+    """Biquadratic final clause: x not rational implies Tr(x) > min(sqrt(p), sqrt(q), sqrt(r))."""
+    if x.field.k != 2:
+        raise WrongDegreeError("the min-radicand trace clause is biquadratic (k=2)")
+    require_totally_positive_integer(x)
+    if set(x.coeffs) <= {0}:
+        return True  # rational integers are exempt
+    t = x.trace()
+    return t * t > min(x.field.radicands[1:])
 
 
 def signs_rec(field: MultiquadField, coeffs, level: int) -> list[int]:
@@ -82,8 +124,9 @@ def enumerate_violations_unpruned(a: FieldElement, b: FieldElement):
         raise FieldMismatchError("pair elements live in different fields")
     field = a.field
     box, _, _ = _pair_region(a, b)
-    if box.total_points() > UNPRUNED_POINT_CAP:
-        raise BudgetExceededError(0, box.total_points(), "unpruned enumeration")
+    total = prod(2 * m + 1 for m in box.scaled_bounds)
+    if total > UNPRUNED_POINT_CAP:
+        raise BudgetExceededError(0, total, "unpruned enumeration")
     fourab = a * b * 4
     violations = []
     near = 0

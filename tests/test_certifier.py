@@ -9,6 +9,7 @@ from oracles import enumerate_violations_unpruned
 from mqf.certifier import (
     Certificate,
     WitnessSet,
+    _pair_region,
     certify_witness_set,
     dumps_canonical,
     pair_condition_certify,
@@ -23,6 +24,7 @@ from mqf.errors import (
     NotTotallyPositiveError,
 )
 from mqf.fields import make_field
+from mqf.kernels import scan_box
 from mqf.integers import is_algebraic_integer, superset_lattice_box
 
 
@@ -52,10 +54,28 @@ def test_pair_one_one_fails_with_c_one(q2):
 
 
 def test_zero_bounds_box_is_vacuous(q2):
-    # with embedding bounds 0 the box holds only the origin, so a scan that
-    # skips zero sees no candidate at all
+    # with embedding bounds 0 the box holds only the origin, which the
+    # certifier drops, so it sees no candidate at all
     box = superset_lattice_box(q2, [0, 0])
-    assert box.total_points() == 1
+    assert box.scan_job([0.0, 0.0], [0.0, 0.0]).total_points() == 1
+
+
+def test_pair_whose_only_survivor_is_the_origin_holds():
+    # b = 12 - sqrt(143) has embeddings near 0.042 and 23.96, so the region of
+    # 4b >= c^2 holds no lattice point but the origin
+    field = make_field([143])
+    a, b = field.one(), field.element({0: 12, 1: -1})
+    box, emb_hi, ell_bound = _pair_region(a, b)
+    job = box.scan_job(-emb_hi, emb_hi, ell_bound=ell_bound)
+    assert [row.tolist() for coords, _ in scan_box(job) for row in coords] == [[0, 0]]
+    verdict = pair_condition_certify(a, b)
+    assert verdict.holds and verdict.violating_c is None and verdict.near_misses == 0
+    assert verdict.points_scanned == job.total_points()
+    # no verdict reports c = 0, whether the pair holds or not
+    for x, y in ((a, b), (a, a), (b, field.rational(3))):
+        verdict, violations = pair_condition_certify(x, y, collect_all=True)
+        assert verdict.violating_c != 0 and all(violations)
+        assert verdict.holds == (not violations)
 
 
 def test_pair_from_search_holds_and_matches_unpruned():

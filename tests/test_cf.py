@@ -1,6 +1,7 @@
 import json
 import random
 import time
+from fractions import Fraction
 from itertools import islice
 from math import isqrt
 
@@ -97,6 +98,54 @@ def test_convergents_approach_sqrt(q2):
     cf = cf_expand(2)
     for p, q in convergents(cf, 10):
         assert abs(p * p - 2 * q * q) == 1
+
+
+def _quotients(D, r, s):
+    """Partial quotients of xi = r + s sqrt(D) (Fractions r, s, xi irrational),
+    by exact floors and conjugate inversion in Q(sqrt(D))."""
+    while True:
+        a = int(r + s * D ** 0.5)  # a float guess, then corrected exactly
+        while not _at_least(D, r - a, s):
+            a -= 1
+        while _at_least(D, r - a - 1, s):
+            a += 1
+        yield a
+        u = r - a  # 1/(u + s sqrt(D)) = (u - s sqrt(D))/(u^2 - s^2 D)
+        norm = u * u - s * s * D
+        r, s = u / norm, -s / norm
+
+
+def _at_least(D, u, s):
+    # u + s sqrt(D) >= 0
+    if u >= 0 and s >= 0:
+        return True
+    if u <= 0 and s <= 0:
+        return u == s == 0
+    return u * u >= s * s * D if u > 0 else s * s * D >= u * u
+
+
+def _recurrence(quotients, count):
+    # (p_n, q_n), n = -1 .. count-2, from p_(-2), q_(-2) = 0, 1 and p_(-1), q_(-1) = 1, 0
+    out = [(0, 1), (1, 0)]
+    for a in islice(quotients, count - 1):
+        out.append((a * out[-1][0] + out[-2][0], a * out[-1][1] + out[-2][1]))
+    return out[1:]
+
+
+def test_convergents_and_chain_match_the_recurrence():
+    ds = [d for d in range(2, 400) if is_squarefree(d) and isqrt(d) ** 2 != d]
+    assert {d % 4 for d in ds} == {1, 2, 3}
+    for D in ds:
+        count = 2 * len(cf_expand(D).period) + 6
+        # sqrt(D): the convergents p_n/q_n, n >= 0
+        want = _recurrence(_quotients(D, Fraction(0), Fraction(1)), count + 1)[1:]
+        assert convergents(cf_expand(D), count) == want, D
+        # xi = -omega': sqrt(D), or (sqrt(D) - 1)/2 when D = 1 mod 4
+        half = D % 4 == 1
+        xi = (Fraction(-1, 2), Fraction(1, 2)) if half else (Fraction(0), Fraction(1))
+        want = [(2 * p + q, q) if half else (2 * p, 2 * q)
+                for p, q in _recurrence(_quotients(D, *xi), count)]
+        assert list(islice(_convergent_chain(D), count)) == want, D
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from math import isqrt
 import pytest
 
 from conftest import random_element, random_integer_element, shift_totally_positive
-from oracles import signs_rec
+from oracles import char_poly_by_products, signs_rec
 from mqf.errors import (
     DegenerateFieldError,
     EmptyPrimeListError,
@@ -13,7 +13,7 @@ from mqf.errors import (
     NotSquarefreeError,
     PairwiseCoprimeError,
 )
-from mqf.fields import _exact_signs, _scaled, make_field, squarefree_part
+from mqf.fields import _exact_signs, _scaled, factor, make_field, squarefree_part
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +237,17 @@ def test_char_poly_monic_and_root(q23):
         assert acc == q23.zero()
 
 
+def test_char_poly_matches_the_conjugate_product():
+    # the integer char-poly with its coefficients rescaled, against the
+    # product of the conjugates in field arithmetic
+    rng = random.Random(14)
+    for primes in ([2], [5], [3, 2], [5, 13], [6, 10], [2, 3, 5], [3, 5, 7]):
+        field = make_field(primes)
+        for _ in range(40 if field.k < 3 else 8):
+            x = random_element(field, rng, spread=7, denominators=(1, 2, 3, 4, 8))
+            assert x.char_poly() == char_poly_by_products(x), x
+
+
 def test_char_poly_constant_coeff_is_norm(q23):
     rng = random.Random(13)
     for _ in range(20):
@@ -244,6 +255,24 @@ def test_char_poly_constant_coeff_is_norm(q23):
         poly = x.char_poly()
         sign = 1 if q23.degree % 2 == 0 else -1
         assert poly[0] == sign * x.norm()
+
+
+def test_factor_and_squarefree_part_against_brute_force():
+    limit = 10**4
+    exponents = [{} for _ in range(limit)]  # built prime power by prime power
+    for p in range(2, limit):
+        if all(p % d for d in range(2, isqrt(p) + 1)):
+            power = p
+            while power < limit:
+                for n in range(power, limit, power):
+                    exponents[n][p] = exponents[n].get(p, 0) + 1
+                power *= p
+    for n in range(1, limit):
+        assert factor(n) == exponents[n], n
+        largest_square = max(s * s for s in range(1, isqrt(n) + 1) if n % (s * s) == 0)
+        assert squarefree_part(n) == n // largest_square, n
+    with pytest.raises(ValueError):
+        factor(0)
 
 
 # ---------------------------------------------------------------------------

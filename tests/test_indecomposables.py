@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_element, random_tp_integer
+from oracles import trace_exceeds_min_radicand
 from mqf.errors import NotIntegralError, NotTotallyPositiveError, WrongDegreeError
 from mqf.fields import make_field
 from mqf.indecomposables import (
@@ -16,7 +17,6 @@ from mqf.indecomposables import (
     is_primitive,
     normab_criterion,
     trace_bound_holds,
-    trace_exceeds_min_radicand,
 )
 from mqf.integers import (
     integral_mask,

@@ -145,7 +145,7 @@ def test_random_ok_element_reaches_beyond_the_order(primes):
 def test_box_example_k1(q2):
     box = superset_lattice_box(q2, [3, 3])
     assert box.denominator == 2
-    assert box.bounds == (Fraction(3), Fraction(2))
+    assert box.scaled_bounds == (6, 4)  # |a| <= 3, |b| <= 2 on the grid (1/2)Z
     # exhaustive: every integer a + b sqrt(2) with both embeddings in [-3, 3]
     # satisfies |a| <= 3, |b| <= 2  (grid here is (1/2)Z, integers are in Z)
     for a in range(-10, 11):
@@ -157,21 +157,21 @@ def test_box_example_k1(q2):
 def test_box_zero_bounds(q23):
     box = superset_lattice_box(q23, [0, 0, 0, 0])
     assert box.scaled_bounds == (0, 0, 0, 0)
-    assert box.total_points() == 1  # only the origin
+    assert box.scan_job(np.zeros(4), np.zeros(4)).total_points() == 1  # only the origin
 
 
 def test_box_example_k2(q23):
     box = superset_lattice_box(q23, [10] * 4)
     # largest multiple of 1/4 with B * sqrt(6) <= 10 is 4
-    assert box.bounds[3] == 4
+    assert box.scaled_bounds[3] == 4 * box.denominator
     # brute-force soundness on Z[sqrt2, sqrt3] points
     import itertools
     mat = q23.embedding_matrix()
     for coords in itertools.product(range(-12, 13), repeat=2):
         vals = mat @ np.array([coords[0], 0, 0, coords[1]], dtype=np.float64)
         if max(abs(v) for v in vals) <= 9.99:
-            assert abs(coords[0]) <= box.bounds[0]
-            assert abs(coords[1]) <= box.bounds[3]
+            assert abs(coords[0]) * box.denominator <= box.scaled_bounds[0]
+            assert abs(coords[1]) * box.denominator <= box.scaled_bounds[3]
 
 
 def test_box_soundness_random_integers(q23):

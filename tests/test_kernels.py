@@ -21,8 +21,7 @@ def collect_survivors(job, *, budget=None, chunk=mqf.kernels.CHUNK):
     return np.concatenate([np.empty((0, m), dtype=np.int64)] + parts), scanned
 
 
-def _job(lo, hi, embed, emb_lo, emb_hi, ell=None, ell_bound=-1, skip_zero=True,
-         lattice=None):
+def _job(lo, hi, embed, emb_lo, emb_hi, ell=None, ell_bound=-1, lattice=None):
     lo = np.array(lo, dtype=np.int64)
     hi = np.array(hi, dtype=np.int64)
     embed = np.array(embed, dtype=np.float64)
@@ -30,8 +29,7 @@ def _job(lo, hi, embed, emb_lo, emb_hi, ell=None, ell_bound=-1, skip_zero=True,
     emb_hi = np.array(emb_hi, dtype=np.float64)
     margin = embedding_margin(emb_lo, emb_hi, embed, lo, hi)
     ell_arr = np.array(ell if ell is not None else [0] * lo.shape[0], dtype=np.int64)
-    return BoxScan(lo, hi, embed, emb_lo, emb_hi, margin, ell_arr, ell_bound, skip_zero,
-                   lattice)
+    return BoxScan(lo, hi, embed, emb_lo, emb_hi, margin, ell_arr, ell_bound, lattice)
 
 
 def _in_lattice(coords, lattice):
@@ -56,8 +54,6 @@ def _reference_scan(job, stop=None):
     for flat, coords in enumerate(product(*ranges)):
         if stop is not None and flat >= stop:
             break
-        if job.skip_zero and not any(coords):
-            continue
         if job.lattice is not None and not _in_lattice(coords, job.lattice):
             continue
         if job.ell_bound >= 0:
@@ -110,7 +106,7 @@ JOBS = [
          [-5.0] * 4, [5.0] * 4, ell=[1, 2, 3, 6], ell_bound=64),
     _job([1, -3], [9, 3],
          [[0.5, 0.5 * SQRT2], [0.5, -0.5 * SQRT2]],
-         [0.0, 0.0], [9.0, 9.0], skip_zero=False),
+         [0.0, 0.0], [9.0, 9.0]),
 ]
 
 
@@ -166,7 +162,7 @@ def test_ellipsoid_guard_is_per_axis(ell_bound):
     job = _job([-1000, 0], [1000, 0], [[1.0, 0.0]], [-50.0], [50.0],
                ell=[1, 2**61], ell_bound=ell_bound)
     want = _reference_scan(job)
-    assert len(want) == (40 if ell_bound == 400 else 100)
+    assert len(want) == (41 if ell_bound == 400 else 101)
     _check_budgets(job, [job.total_points(), 1000])
     # one more step on the heavy axis: 10^6 + 4 * 2^61 does not fit
     job = _job([-1000, 0], [1000, 2], [[1.0, 0.0]], [-50.0], [50.0],
@@ -210,8 +206,8 @@ def _random_job(rng):
     if rng.random() < 0.5:
         ell = rng.integers(0, 4, size=m).tolist()
         ell_bound = int(rng.integers(0, 60))
-    return _job(lo, hi, embed, emb_lo, emb_hi, ell=ell, ell_bound=ell_bound,
-                skip_zero=bool(rng.random() < 0.5))
+    rng.random()  # kept so that the seeded populations stay the same jobs
+    return _job(lo, hi, embed, emb_lo, emb_hi, ell=ell, ell_bound=ell_bound)
 
 
 def test_random_jobs_match_reference():
@@ -227,11 +223,10 @@ def test_random_jobs_match_reference():
     assert survivors > 1000  # the windows are not all empty
 
 
-def _exact_job(lo, hi, embed, emb_lo, emb_hi, skip_zero=True):
+def _exact_job(lo, hi, embed, emb_lo, emb_hi):
     """A job with margin 0, so the window ends are the accepted values themselves."""
-    job = _job(lo, hi, embed, emb_lo, emb_hi, skip_zero=skip_zero)
-    return BoxScan(job.lo, job.hi, job.embed, job.emb_lo, job.emb_hi,
-                   np.zeros_like(job.margin), job.ell_coeffs, job.ell_bound, skip_zero)
+    job = _job(lo, hi, embed, emb_lo, emb_hi)
+    return replace(job, margin=np.zeros_like(job.margin))
 
 
 def test_zero_last_axis_coefficient():
@@ -274,16 +269,14 @@ def test_origin_inside_a_budget_clipped_prefix():
     job = _job([-2, -2], [2, 2], [[1.0, 1.0], [1.0, -1.0]], [-1.0, -1.0], [1.0, 1.0])
     for budget in range(11, 16):
         rows = _reference_scan(job, stop=budget)
-        assert (0, 0) not in rows
+        assert ((0, 0) in rows) == (budget > 12)
     _check_budgets(job, range(1, 28), chunks=(1, 5, 7, mqf.kernels.CHUNK))
 
 
-@pytest.mark.parametrize("skip_zero", [True, False])
-def test_one_axis_box(skip_zero):
-    job = _job([-6], [9], [[0.75], [-1.5]], [-3.0, -9.0], [4.0, 2.0], ell=[2],
-               ell_bound=60, skip_zero=skip_zero)
+def test_one_axis_box():
+    job = _job([-6], [9], [[0.75], [-1.5]], [-3.0, -9.0], [4.0, 2.0], ell=[2], ell_bound=60)
     want = _reference_scan(job)
-    assert ((0,) in want) == (not skip_zero)
+    assert (0,) in want
     chunks = [n for _, n in scan_box(job, chunk=4)]
     assert chunks == [16]  # the empty prefix is one prefix of w = 16 points
     _check_budgets(job, range(1, 19), chunks=(1, 4, mqf.kernels.CHUNK))
@@ -294,8 +287,7 @@ def test_one_axis_box(skip_zero):
 # ---------------------------------------------------------------------------
 
 def _with_lattice(job, lattice):
-    return BoxScan(job.lo, job.hi, job.embed, job.emb_lo, job.emb_hi, job.margin,
-                   job.ell_coeffs, job.ell_bound, job.skip_zero, lattice)
+    return replace(job, lattice=lattice)
 
 
 # the 2-scaled O_K of Q(sqrt 5) (steps 1, 2); n_0 and n_1 even, where the
@@ -337,15 +329,15 @@ def test_lattice_prefix_chunks():
     job = _job([0, -2], [20, 2], [[1.0, 0.0]], [-1.0], [30.0], lattice=lattice)
     got = list(scan_box(job, chunk=9))
     assert [n for _, n in got] == [25, 30, 30, 20]
-    assert [len(coords) for coords, _ in got] == [8, 9, 9, 6]  # skip_zero drops (0, 0)
+    assert [len(coords) for coords, _ in got] == [9, 9, 9, 6]
     assert _rows(np.concatenate([c for c, _ in got])) == _reference_scan(job)
     # a budget inside prefix n_0 = 13, which is not a lattice prefix
     assert [n for _, n in scan_box(job, budget=67, chunk=9)] == [25, 30, 12]
 
 
 def test_lattice_edge_cases():
-    # the origin's prefix is a lattice prefix but the origin is not in the
-    # lattice (n_1 odd), so skip_zero must drop nothing there
+    # the origin's prefix is a lattice prefix whose last axis holds odd n_1
+    # only, so the origin is not a lattice point
     odd = Lattice(2, (1, 2), (np.array([0]), np.array([1, 1])))
     job = _job([-3, -3], [3, 3], [[1.0, 0.3]], [-5.0], [5.0], lattice=odd)
     assert (0, -1) in _reference_scan(job) and (0, 1) in _reference_scan(job)
@@ -432,8 +424,7 @@ def _with_windows(job, rng):
     emb_hi = center + rng.uniform(0.0, 4.0, size=n_emb)
     margin = embedding_margin(emb_lo, emb_hi, job.embed, job.lo, job.hi)
     ell_bound = int(rng.integers(-1, 60))
-    return BoxScan(job.lo, job.hi, job.embed, emb_lo, emb_hi, margin, job.ell_coeffs,
-                   ell_bound, job.skip_zero, job.lattice)
+    return replace(job, emb_lo=emb_lo, emb_hi=emb_hi, margin=margin, ell_bound=ell_bound)
 
 
 def _check_cold_and_warm(population, rng):
@@ -488,7 +479,6 @@ def _variants(job):
     embed = job.embed.copy()
     embed[0, 0] *= 1.5
     return {
-        "skip_zero": replace(job, skip_zero=not job.skip_zero),
         "ell_coeffs": replace(job, ell_coeffs=job.ell_coeffs + 1),
         "embed": replace(job, embed=embed),
         "residues": replace(job, lattice=other_residues),
@@ -497,8 +487,7 @@ def _variants(job):
 
 
 def test_plan_key_separates_geometries():
-    # the origin's prefix is a lattice prefix, so skip_zero matters, and the
-    # residue change moves the last axis's class
+    # the residue change moves the last axis's class
     job = _job([-4, -5], [4, 5], [[1.0, 0.4], [1.0, -0.4]], [-3.0, -3.0], [3.0, 3.0],
                ell=[1, 2], ell_bound=30, lattice=Lattice(2, (1, 2), (np.array([0]),
                                                                      np.array([0, 1]))))
@@ -562,18 +551,20 @@ def test_plan_memo_is_bounded_by_prefix_rows():
     assert memo.rows == len(plans) * 1000
     # a plan that alone holds more rows than the bound is built but not kept
     big = _job([0, 0], [mqf.kernels.PLAN_ROWS, 0], [[1.0, 1.0]], [-1.0], [1.0])
-    assert _yields(big) == [([(1, 0)], big.total_points())]
+    assert _yields(big) == [([(0, 0), (1, 0)], big.total_points())]
     assert len(memo.plans) == len(plans) and memo.rows == len(plans) * 1000
 
 
-# (survivors, covered) of every yield, as the scan has always split them:
-# one 9-point prefix per pass, then passes of 4 and 2 lattice prefixes
+# (survivors, covered) of every yield: one 9-point prefix per pass, then
+# passes of 4 and 2 lattice prefixes; the seventh yield of each lattice scan
+# holds the origin
 MULTI_PASS = [
     (JOBS[2], None, 7, None),
     (JOBS[2], LATTICES[2], 20, [(3, 243), (5, 324), (2, 972), (5, 324), (3, 324), (3, 972),
-                                (4, 324), (2, 972), (5, 324), (3, 324), (3, 972), (5, 324),
+                                (5, 324), (2, 972), (5, 324), (3, 324), (3, 972), (5, 324),
                                 (1, 162)]),
-    (JOBS[0], LATTICES[0], 13, [(0, 13)] * 8 + [(1, 13), (2, 13), (1, 13), (0, 13), (1, 13)]),
+    (JOBS[0], LATTICES[0], 13, [(0, 13)] * 6 + [(1, 13), (0, 13), (1, 13), (2, 13), (1, 13),
+                                                (0, 13), (1, 13)]),
 ]
 
 

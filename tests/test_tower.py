@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_element
-from oracles import case_b_identity_holds, check_case_c_bound, split_at_top
+from oracles import DegeneratePartError, case_b_identity_holds, check_case_c_bound, split_at_top
 from mqf.certifier import WitnessSet, certify_witness_set, dumps_canonical
 from mqf.cf import search_witnesses
-from mqf.errors import BaseWitnessNotFoundError, DegeneratePartError, MqfError
+from mqf.errors import BaseWitnessNotFoundError, MqfError
 from mqf.fields import make_field
 from mqf.tower import (
     Tower,
