@@ -95,8 +95,7 @@ class BoxScan:
     acceptable embedding values; margin widens the comparison.  ell_coeffs and
     ell_bound give the exact integer test sum_I n_I^2 * ell_coeffs[I] <=
     ell_bound (disabled when ell_bound < 0).  lattice, when given, restricts
-    the scan to the box points it holds.  The origin is a box point like any
-    other: a caller that must not see it drops it.
+    the scan to the box points it holds.
     """
 
     lo: np.ndarray
