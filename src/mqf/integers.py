@@ -69,7 +69,7 @@ def _residue_index(coords, scale: int):
     idx = 0
     power = 1
     for c in coords:
-        idx = idx + (c % scale) * power
+        idx += (c % scale) * power
         power *= scale
     return idx
 
