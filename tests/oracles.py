@@ -14,8 +14,8 @@ from mqf.errors import (
     BudgetExceededError,
     FieldMismatchError,
     MqfError,
-    NotIntegralError,
     NonRationalCoefficientError,
+    NotIntegralError,
     WrongDegreeError,
 )
 from mqf.fields import FieldElement, MultiquadField, _mul_dicts, make_field
