@@ -1,16 +1,16 @@
 """Exact arithmetic in totally real multiquadratic fields Q(sqrt(p_1), ..., sqrt(p_k)).
 
-Elements are stored as sparse maps from subset bitmasks to exact rational
-coefficients over the basis {sqrt(p_I)}, where p_I is the squarefree part of
-prod_{i in I} p_i.  Bit i of a mask corresponds to the generator p_{i+1}.
+An element x = sum_I (n_I / d) sqrt(p_I) is stored as its integer coordinates
+n_I over one positive denominator d, in lowest terms, as a sparse map from
+subset bitmasks to the nonzero n_I; p_I is the squarefree part of
+prod_{i in I} p_i, and bit i of a mask corresponds to the generator p_{i+1}.
 All decisions (signs, orderings, total positivity) are exact; floating point
 appears only in optional prefilters and never in a decision path.
 
-Signs are decided on the integer coordinates n_I of x over its common
-denominator, in one routine (:func:`_signs`).  An integer enclosure built from
-the per-field table r_I = isqrt(p_I * 2^128) decides almost every embedding;
-the few it leaves open go to an exact integer recursion over the quadratic
-subfield tower (:func:`_exact_signs`).
+Signs are decided on the stored coordinates, in one routine (:func:`_signs`).
+An integer enclosure built from the per-field table r_I = isqrt(p_I * 2^128)
+decides almost every embedding; the few it leaves open go to an exact integer
+recursion over the quadratic subfield tower (:func:`_exact_signs`).
 """
 
 from __future__ import annotations
@@ -162,13 +162,16 @@ class MultiquadField:
             frac = Fraction(c)
             if frac:
                 clean[mask] = frac
-        return FieldElement(self, clean)
+        # over the least common denominator the coordinates are in lowest terms
+        den = lcm(*(c.denominator for c in clean.values()))
+        return FieldElement(self, {m: c.numerator * (den // c.denominator)
+                                   for m, c in clean.items()}, den)
 
     def zero(self) -> FieldElement:
-        return FieldElement(self, {})
+        return FieldElement(self, {}, 1)
 
     def one(self) -> FieldElement:
-        return FieldElement(self, {0: Fraction(1)})
+        return FieldElement(self, {0: 1}, 1)
 
     def rational(self, value: RationalLike) -> FieldElement:
         return self.element({0: Fraction(value)})
@@ -184,9 +187,14 @@ class MultiquadField:
         return self.element({mask: coeff})
 
     def from_scaled(self, coords: Iterable[int], denominator: int) -> FieldElement:
-        return self.element(
-            {m: Fraction(n, denominator) for m, n in enumerate(coords) if n}
-        )
+        """sum_I coords[I] / denominator * sqrt(p_I); coords may be numpy integers."""
+        if not denominator:
+            raise ZeroDivisionError("from_scaled with denominator 0")
+        sign = 1 if denominator > 0 else -1
+        num = {m: sign * int(n) for m, n in enumerate(coords) if n}
+        if num and max(num) >= self.degree:
+            raise ValueError(f"subset mask {max(num)} out of range for k={self.k}")
+        return _reduced(self, num, sign * denominator)
 
     # -- embeddings ---------------------------------------------------------
 
@@ -232,7 +240,7 @@ class MultiquadField:
             if f"{value.numerator}/{value.denominator}" != text:
                 raise MalformedPayloadError(f"element coeffs: {text[:40]!r} is not in lowest terms")
             clean[int(mask)] = value
-        return FieldElement(self, clean)
+        return self.element(clean)
 
 
 def make_field(primes: list[int] | tuple[int, ...]) -> MultiquadField:
@@ -279,12 +287,11 @@ def make_field(primes: list[int] | tuple[int, ...]) -> MultiquadField:
     return MultiquadField(tuple(entries), tuple(radicands))
 
 
-def _mul_dicts(field: MultiquadField, a: Mapping[int, RationalLike],
-               b: Mapping[int, RationalLike]) -> dict[int, RationalLike]:
-    """Sparse product over the sqrt(p_I) basis.  Integer coefficients stay
-    integers, which spares the exact-sign and norm loops Fraction overhead."""
+def _mul_dicts(field: MultiquadField, a: Mapping[int, int],
+               b: Mapping[int, int]) -> dict[int, int]:
+    """Sparse product of integer coordinate maps over the sqrt(p_I) basis."""
     mult = field.mult
-    out: dict[int, RationalLike] = {}
+    out: dict[int, int] = {}
     for i, ca in a.items():
         row = mult[i]
         for j, cb in b.items():
@@ -297,10 +304,13 @@ def _mul_dicts(field: MultiquadField, a: Mapping[int, RationalLike],
     return {m: c for m, c in out.items() if c}
 
 
-def _scaled(coeffs: Mapping[int, Fraction]) -> tuple[int, dict[int, int]]:
-    """(d, n) with coeffs[I] = n[I] / d and d the least common denominator."""
-    den = lcm(*(c.denominator for c in coeffs.values()))
-    return den, {m: c.numerator * (den // c.denominator) for m, c in coeffs.items()}
+def _reduced(field: MultiquadField, num: dict[int, int], den: int) -> FieldElement:
+    """The element with coordinates ``num`` (no zero entry) over ``den`` > 0,
+    brought to lowest terms."""
+    g = gcd(den, *num.values())
+    if g != 1:
+        num = {m: c // g for m, c in num.items()}
+    return FieldElement(field, num, den // g)
 
 
 def _scaled_char_poly(field: MultiquadField, coords: Sequence[int]) -> list[int]:
@@ -374,17 +384,14 @@ def _exact_signs(field: MultiquadField, n: Mapping[int, int], smasks: Collection
     return out
 
 
-def _signs(field: MultiquadField, coeffs: Mapping[int, Fraction],
-           smasks: Sequence[int]) -> list[int]:
-    """Exact sign of sigma_s(x) for each s in ``smasks``; the one place signs
-    are decided.
+def _signs(field: MultiquadField, n: Mapping[int, int], smasks: Sequence[int]) -> list[int]:
+    """Exact sign of sigma_s(x) for each s in ``smasks``, x = sum_I n_I sqrt(p_I)
+    with integer n_I; the one place signs are decided.
 
-    With n the integer coordinates of x over its common denominator d,
-    A_s = sum_I +-n_I r_I differs from sigma_s(x) * d * 2^64 by less than
+    A_s = sum_I +-n_I r_I differs from sigma_s(x) * 2^64 by less than
     sum_{I != 0} |n_I| (r_0 = 2^64 is exact), so a larger |A_s| decides the
     sign as sign(A_s).  Embeddings left open go to :func:`_exact_signs`.
     """
-    _, n = _scaled(coeffs)
     slack = sum(abs(c) for m, c in n.items() if m)
     terms = [(m, c * field.roots[m]) for m, c in n.items()]
     out = []
@@ -399,26 +406,33 @@ def _signs(field: MultiquadField, coeffs: Mapping[int, Fraction],
 
 
 class FieldElement:
-    """Exact element of a :class:`MultiquadField`; immutable value type."""
+    """Exact element of a :class:`MultiquadField`; immutable value type, held
+    as the integer coordinates ``num`` over ``den`` of the module docstring."""
 
-    __slots__ = ("field", "coeffs", "_hash")
+    __slots__ = ("field", "num", "den", "_hash")
 
-    def __init__(self, field: MultiquadField, coeffs: dict[int, Fraction]):
+    def __init__(self, field: MultiquadField, num: dict[int, int], den: int):
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
         self._hash: int | None = None
+
+    @property
+    def coeffs(self) -> dict[int, Fraction]:
+        """A fresh map from each nonzero mask to its coefficient in lowest terms."""
+        return {m: Fraction(c, self.den) for m, c in self.num.items()}
 
     # -- basics -------------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
             other = self.field.rational(other)
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+        return (self.field, self.den, self.num) == (other.field, other.den, other.num)
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -426,11 +440,10 @@ class FieldElement:
         return self._hash
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self.num:
             return "0"
         parts = []
-        for mask in sorted(self.coeffs):
-            c = self.coeffs[mask]
+        for mask, c in sorted(self.coeffs.items()):
             if mask == 0:
                 parts.append(str(c))
             else:
@@ -459,19 +472,17 @@ class FieldElement:
 
     def __add__(self, other: FieldElement | RationalLike) -> FieldElement:
         other = self._coerce(other)
-        out = dict(self.coeffs)
-        for mask, c in other.coeffs.items():
-            s = out.get(mask, Fraction(0)) + c
-            if s:
-                out[mask] = s
-            else:
-                out.pop(mask, None)
-        return FieldElement(self.field, out)
+        den = lcm(self.den, other.den)
+        out = {m: c * (den // self.den) for m, c in self.num.items()}
+        scale = den // other.den
+        for m, c in other.num.items():
+            out[m] = out.get(m, 0) + c * scale
+        return _reduced(self.field, {m: c for m, c in out.items() if c}, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> FieldElement:
-        return FieldElement(self.field, {m: -c for m, c in self.coeffs.items()})
+        return FieldElement(self.field, {m: -c for m, c in self.num.items()}, self.den)
 
     def __sub__(self, other: FieldElement | RationalLike) -> FieldElement:
         return self + (-self._coerce(other))
@@ -480,13 +491,9 @@ class FieldElement:
         return (-self) + other
 
     def __mul__(self, other: FieldElement | RationalLike) -> FieldElement:
-        if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            if not other:
-                return self.field.zero()
-            return FieldElement(self.field, {m: c * other for m, c in self.coeffs.items()})
         other = self._coerce(other)
-        return FieldElement(self.field, _mul_dicts(self.field, self.coeffs, other.coeffs))
+        return _reduced(self.field, _mul_dicts(self.field, self.num, other.num),
+                        self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -512,7 +519,7 @@ class FieldElement:
         return self * self._coerce(other).inverse()
 
     def inverse(self) -> FieldElement:
-        if not self.coeffs:
+        if not self.num:
             raise ZeroDivisionError("zero has no inverse")
         prod = self.field.one()
         for smask in range(1, self.field.degree):
@@ -523,29 +530,25 @@ class FieldElement:
 
     def conjugate(self, smask: int) -> FieldElement:
         """sigma_s(x), where embedding s negates sqrt(p_{i+1}) for each bit i of s."""
-        out = {}
-        for mask, c in self.coeffs.items():
-            out[mask] = -c if (smask & mask).bit_count() % 2 else c
-        return FieldElement(self.field, out)
+        num = {m: -c if (smask & m).bit_count() & 1 else c for m, c in self.num.items()}
+        return FieldElement(self.field, num, self.den)
 
     def trace(self) -> Fraction:
         """Trace to Q: 2^k times the rational coefficient."""
-        return self.field.degree * self.coeffs.get(0, Fraction(0))
+        return Fraction(self.field.degree * self.num.get(0, 0), self.den)
 
     def norm(self) -> Fraction:
         """Product of all 2^k conjugates, verified to be rational."""
         field = self.field
-        den, n = _scaled(self.coeffs)
         prod = {0: 1}
         for smask in range(field.degree):
-            conj = {m: -c if (smask & m).bit_count() & 1 else c for m, c in n.items()}
-            prod = _mul_dicts(field, prod, conj)
+            prod = _mul_dicts(field, prod, self.conjugate(smask).num)
         for mask in prod:
             if mask != 0:
                 raise NonRationalNormError(
                     f"conjugate product has residual sqrt({field.radicands[mask]}) term"
                 )
-        return Fraction(prod.get(0, 0), den ** field.degree)
+        return Fraction(prod.get(0, 0), self.den ** field.degree)
 
     def char_poly(self) -> list[Fraction]:
         """Coefficients of prod_s (T - sigma_s(x)), constant term first, monic.
@@ -564,18 +567,14 @@ class FieldElement:
         """Exact sign of sigma_s(x) in {-1, 0, +1}; no floating point involved."""
         if not 0 <= smask < self.field.degree:
             raise ValueError(f"embedding mask {smask} out of range for k={self.field.k}")
-        return _signs(self.field, self.coeffs, [smask])[0]
+        return _signs(self.field, self.num, [smask])[0]
 
     def signs(self) -> list[int]:
-        return _signs(self.field, self.coeffs, range(self.field.degree))
+        return _signs(self.field, self.num, range(self.field.degree))
 
     def succeq(self, other: FieldElement | RationalLike) -> bool:
         """self >= other in the total-positivity partial order (equality allowed)."""
         return min((self - self._coerce(other)).signs()) >= 0
-
-    def succ(self, other: FieldElement | RationalLike) -> bool:
-        """self - other is totally positive (strict at every embedding)."""
-        return min((self - self._coerce(other)).signs()) > 0
 
     def is_totally_positive(self) -> bool:
         return min(self.signs()) > 0
@@ -587,13 +586,12 @@ class FieldElement:
         sum_I |x_I| * 2^-bits (sqrt(1) too is enclosed, not taken as exact)."""
         field = self.field
         roots = field.roots if bits == ROOT_BITS else _root_table(field.radicands, bits)
-        den, n = _scaled(self.coeffs)
-        scale = den << bits
+        scale = self.den << bits
         out = []
         for smask in range(field.degree):
             # each term t * sqrt(p_I) * 2^bits, t = +-n_I, lies between t*r_I and t*(r_I + 1)
             lo = hi = 0
-            for m, c in n.items():
+            for m, c in self.num.items():
                 t = -c if (smask & m).bit_count() & 1 else c
                 if t > 0:
                     lo += t * roots[m]
@@ -606,11 +604,10 @@ class FieldElement:
 
     def scaled_coords(self) -> tuple[int, list[int]]:
         """(d, n) with coefficient on mask m equal to n[m]/d and d minimal."""
-        den, n = _scaled(self.coeffs)
         coords = [0] * self.field.degree
-        for mask, c in n.items():
+        for mask, c in self.num.items():
             coords[mask] = c
-        return den, coords
+        return self.den, coords
 
     # -- serialization -------------------------------------------------------------
 

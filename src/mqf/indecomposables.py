@@ -72,7 +72,7 @@ def trace_bound_holds(x: FieldElement) -> bool:
     t = x.trace()
     return all(
         t * t > x.field.radicands[mask]
-        for mask in x.coeffs
+        for mask in x.num
         if mask != 0
     )
 
@@ -84,11 +84,7 @@ def is_primitive(x: FieldElement) -> bool:
     divide x, and n | x reduces to primality: if n = l*m divides x then so
     does the prime l.  Each candidate is decided exactly via integrality.
     """
-    den, coords = x.scaled_coords()
-    scale = 1 << x.field.k
-    content = 0
-    for c in coords:
-        content = gcd(content, c * (scale // den))
+    content = gcd(*x.num.values()) * ((1 << x.field.k) // x.den)
     for ell in factor(content):
         if is_algebraic_integer(x * Fraction(1, ell)):
             return False
@@ -120,9 +116,8 @@ def _trace_of_square(x: FieldElement) -> Fraction:
     A cross term sqrt(p_I) sqrt(p_J) with I != J is a rational multiple of
     sqrt(p_{I xor J}), whose trace is 0, so only the squares are left.
     """
-    den, coords = x.scaled_coords()
-    square = sum(n * n * p for n, p in zip(coords, x.field.radicands))
-    return Fraction(x.field.degree * square, den * den)
+    square = sum(n * n * x.field.radicands[m] for m, n in x.num.items())
+    return Fraction(x.field.degree * square, x.den * x.den)
 
 
 def _points_through(job, row) -> int:

@@ -116,7 +116,7 @@ def integral_mask(field: MultiquadField, coords: np.ndarray) -> np.ndarray:
     if field.k <= 2:
         return integral_residue_table(field)[_residue_index(coords.T, 1 << field.k)]
     return np.array(
-        [is_algebraic_integer(field.from_scaled([int(v) for v in row], 1 << field.k))
+        [is_algebraic_integer(field.from_scaled(row, 1 << field.k))
          for row in coords],
         dtype=np.bool_,
     )
@@ -169,7 +169,7 @@ class LatticeBox:
         return BoxScan(lo, hi, embed, emb_lo, emb_hi, margin, ell, int(ell_bound))
 
     def element(self, coords) -> FieldElement:
-        return self.field.from_scaled([int(c) for c in coords], self.denominator)
+        return self.field.from_scaled(coords, self.denominator)
 
 
 def trace_simplex_box(field: MultiquadField, trace_bound: int) -> LatticeBox:

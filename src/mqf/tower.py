@@ -97,28 +97,18 @@ def select_next_q(field: MultiquadField, witnesses: WitnessSet, offset: int = 0)
     """
     if witnesses.field != field:
         raise MqfError("witness set does not belong to the given field")
-    k = field.k
     m = max_pair_trace(witnesses)
-    degree_threshold = 4 ** (k + 1)
+    degree_threshold = 4 ** (field.k + 1)
     trace_threshold = 64 * m * m
     q = max(degree_threshold, trace_threshold)
     remaining = offset
     while True:
         q += 1
-        if not all(gcd(q, p) == 1 for p in field.primes):
-            continue
-        if not is_squarefree(q):
-            continue
-        if remaining == 0:
-            return TowerStep(
-                base_primes=field.primes,
-                chosen_q=q,
-                degree_threshold=degree_threshold,
-                trace_threshold=trace_threshold,
-                max_pair_trace=m,
-                offset=offset,
-            )
-        remaining -= 1
+        step = TowerStep(field.primes, q, degree_threshold, trace_threshold, m, offset)
+        if step.constraints_hold():
+            if remaining == 0:
+                return step
+            remaining -= 1
 
 
 def lift_witnesses(step: TowerStep, witnesses: WitnessSet) -> WitnessSet:
@@ -134,7 +124,7 @@ def lift_witnesses(step: TowerStep, witnesses: WitnessSet) -> WitnessSet:
     top = make_field(list(step.base_primes) + [step.chosen_q])
     lifted = []
     for x in witnesses.elements:
-        y = top.element(dict(x.coeffs))
+        y = top.from_scaled(x.scaled_coords()[1], x.den)
         assert y.trace() == 2 * x.trace(), "relative trace identity violated"
         lifted.append(y)
     return WitnessSet(top, tuple(lifted), certificate=None)
@@ -290,7 +280,7 @@ def verify_tower(data: Mapping, *, jobs: int = 1) -> list[str]:
         problems.append("witness count changed between base and top")
     else:
         for base_w, top_w in zip(base_cert.witnesses, tower.witnesses.elements):
-            if dict(base_w.coeffs) != dict(top_w.coeffs):
+            if (base_w.num, base_w.den) != (top_w.num, top_w.den):
                 problems.append("lifted witness coefficients differ from the base witnesses")
                 break
     if data["claim"] != tower.claim():

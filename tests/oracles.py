@@ -18,7 +18,7 @@ from mqf.errors import (
     NotIntegralError,
     WrongDegreeError,
 )
-from mqf.fields import FieldElement, MultiquadField, _mul_dicts, make_field
+from mqf.fields import FieldElement, MultiquadField, make_field
 from mqf.indecomposables import require_totally_positive_integer
 from mqf.integers import is_algebraic_integer
 
@@ -27,6 +27,114 @@ UNPRUNED_POINT_CAP = 4 * 10**6
 
 class DegeneratePartError(MqfError):
     """c = u + v*sqrt(q) was required to have both parts nonzero."""
+
+
+def mul_fractions(field: MultiquadField, a: dict[int, Fraction],
+                  b: dict[int, Fraction]) -> dict[int, Fraction]:
+    """Sparse product of Fraction coefficient maps over the sqrt(p_I) basis."""
+    out: dict[int, Fraction] = {}
+    for i, ca in a.items():
+        for j, cb in b.items():
+            out[i ^ j] = out.get(i ^ j, 0) + ca * cb * field.mult[i][j]
+    return {m: c for m, c in out.items() if c}
+
+
+class FractionElement:
+    """Reference ring arithmetic on a map from each nonzero mask to its
+    Fraction coefficient, the element form the library kept before it stored
+    integer coordinates over one denominator."""
+
+    def __init__(self, field: MultiquadField, coeffs: dict[int, Fraction]):
+        self.field = field
+        self.coeffs = {m: Fraction(c) for m, c in coeffs.items() if c}
+
+    @classmethod
+    def from_scaled(cls, field: MultiquadField, coords, denominator: int) -> FractionElement:
+        return cls(field, {m: Fraction(n, denominator) for m, n in enumerate(coords) if n})
+
+    def _coerce(self, other) -> FractionElement:
+        if isinstance(other, FractionElement):
+            return other
+        return FractionElement(self.field, {0: Fraction(other)})
+
+    def __eq__(self, other) -> bool:
+        other = self._coerce(other)
+        return self.field == other.field and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.field.primes, frozenset(self.coeffs.items())))
+
+    def __add__(self, other) -> FractionElement:
+        out = dict(self.coeffs)
+        for m, c in self._coerce(other).coeffs.items():
+            out[m] = out.get(m, 0) + c
+        return FractionElement(self.field, out)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> FractionElement:
+        return FractionElement(self.field, {m: -c for m, c in self.coeffs.items()})
+
+    def __sub__(self, other) -> FractionElement:
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other) -> FractionElement:
+        return (-self) + other
+
+    def __mul__(self, other) -> FractionElement:
+        return FractionElement(self.field, mul_fractions(self.field, self.coeffs,
+                                                         self._coerce(other).coeffs))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, exponent: int) -> FractionElement:
+        base = self.inverse() if exponent < 0 else self
+        out = self._coerce(1)
+        for _ in range(abs(exponent)):
+            out = out * base
+        return out
+
+    def __truediv__(self, other) -> FractionElement:
+        if isinstance(other, FractionElement):
+            return self * other.inverse()
+        return self * (1 / Fraction(other))
+
+    def conjugate(self, smask: int) -> FractionElement:
+        return FractionElement(self.field, {
+            m: -c if (smask & m).bit_count() & 1 else c for m, c in self.coeffs.items()})
+
+    def trace(self) -> Fraction:
+        return self.field.degree * self.coeffs.get(0, Fraction(0))
+
+    def norm(self) -> Fraction:
+        prod = self._coerce(1)
+        for smask in range(self.field.degree):
+            prod = prod * self.conjugate(smask)
+        assert set(prod.coeffs) <= {0}
+        return prod.coeffs.get(0, Fraction(0))
+
+    def inverse(self) -> FractionElement:
+        if not self.coeffs:
+            raise ZeroDivisionError("zero has no inverse")
+        prod = self._coerce(1)
+        for smask in range(1, self.field.degree):
+            prod = prod * self.conjugate(smask)
+        return prod * (1 / self.norm())
+
+    def to_json(self) -> dict:
+        return {"coeffs": {str(m): f"{c.numerator}/{c.denominator}"
+                           for m, c in sorted(self.coeffs.items())}}
+
+    def __repr__(self) -> str:
+        parts = []
+        for mask, c in sorted(self.coeffs.items()):
+            tok = f"s{self.field.radicands[mask]}"
+            parts.append(str(c) if mask == 0 else tok if c == 1 else f"-{tok}" if c == -1
+                         else f"{c}*{tok}")
+        out = parts[0] if parts else "0"
+        for part in parts[1:]:
+            out += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
+        return out
 
 
 def char_poly_by_products(x: FieldElement) -> list[Fraction]:
@@ -101,8 +209,8 @@ def signs_rec(field: MultiquadField, coeffs, level: int) -> list[int]:
             out.append(b)
         else:
             if sw is None:
-                w = _mul_dicts(field, u, u)
-                pv2 = _mul_dicts(field, v, v)
+                w = mul_fractions(field, u, u)
+                pv2 = mul_fractions(field, v, v)
                 for mask, c in pv2.items():
                     c *= p_top
                     if mask in w:

@@ -1,11 +1,11 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
 from conftest import random_element, random_integer_element, shift_totally_positive
-from oracles import char_poly_by_products, signs_rec
+from oracles import FractionElement, char_poly_by_products, signs_rec
 from mqf.errors import (
     DegenerateFieldError,
     EmptyPrimeListError,
@@ -13,7 +13,7 @@ from mqf.errors import (
     NotSquarefreeError,
     PairwiseCoprimeError,
 )
-from mqf.fields import _exact_signs, _scaled, factor, make_field, squarefree_part
+from mqf.fields import _exact_signs, factor, make_field, squarefree_part
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +117,54 @@ def test_equality_drops_zeros(q23):
     b = q23.element({0: 1})
     assert a == b and hash(a) == hash(b)
     assert a.coeffs == {0: Fraction(1)}
+
+
+def _assert_stored_form(x):
+    """den >= 1, the coordinates in lowest terms with no zero entry, zero as ({}, 1)."""
+    assert x.den >= 1 and gcd(x.den, *x.num.values()) == 1
+    assert all(x.num.values()) and (x or (x.num, x.den) == ({}, 1))
+
+
+def _assert_same(new, ref):
+    _assert_stored_form(new)
+    assert new.coeffs == ref.coeffs
+    assert new.to_json() == ref.to_json() and repr(new) == repr(ref)
+    assert new == new.field.element(ref.coeffs) and hash(new) == hash(ref)
+
+
+@pytest.mark.parametrize("primes", [[2], [5], [2, 3], [6, 10], [2, 3, 5]])
+def test_ring_arithmetic_matches_the_fraction_reference(primes):
+    """Integer coordinates over one denominator against Fraction-map arithmetic."""
+    field = make_field(primes)
+    rng = random.Random(30 + sum(primes))
+    denominators = range(1, 9)
+    for _ in range(150 if field.k < 3 else 40):
+        x, y = (random_element(field, rng, spread=6, max_terms=rng.randint(0, field.degree),
+                               denominators=denominators) for _ in range(2))
+        rx, ry = FractionElement(field, x.coeffs), FractionElement(field, y.coeffs)
+        n = rng.randint(-4, 4)
+        c = Fraction(rng.randint(-6, 6), rng.choice(denominators))
+        e = rng.randint(0, 3)
+        cases = [(x, rx), (x + y, rx + ry), (x - y, rx - ry), (-x, -rx), (x * y, rx * ry),
+                 (x + n, rx + n), (n - x, n - rx), (x * n, rx * n), (n * x, rx * n),
+                 (x * c, rx * c), (c * x, rx * c), (x ** e, rx ** e), (x - x, rx - rx)]
+        cases += [(x.conjugate(s), rx.conjugate(s)) for s in range(field.degree)]
+        if y:
+            cases += [(x / y, rx / ry), (y.inverse(), ry.inverse()), (y ** -2, ry ** -2)]
+        if n:
+            cases.append((x / n, rx / n))
+        if c:
+            cases.append((x / c, rx / c))
+        for new, ref in cases:
+            _assert_same(new, ref)
+        assert x.trace() == rx.trace() and x.norm() == rx.norm()
+        assert (x == y) == (rx == ry) and (x + 0 == x) and (field.rational(c) == c)
+        coords = [rng.randint(-9, 9) for _ in range(field.degree)]
+        d = rng.choice(denominators)
+        _assert_same(field.from_scaled(coords, -d), FractionElement.from_scaled(field, coords, -d))
+    for coords in ([1] * field.degree, [0] * field.degree):
+        with pytest.raises(ZeroDivisionError):
+            field.from_scaled(coords, 0)
 
 
 def test_inverse_and_division(q2):
@@ -342,11 +390,10 @@ def test_signs_match_reference_recursion(primes):
     for x in elements:
         expected = signs_rec(field, x.coeffs, field.k)
         assert x.signs() == expected, x
-        exact = _exact_signs(field, _scaled(x.coeffs)[1], embeddings, field.k)
+        exact = _exact_signs(field, x.num, embeddings, field.k)
         assert [exact[s] for s in embeddings] == expected, x
-        assert x.succ(0) == all(s > 0 for s in expected)
+        assert x.is_totally_positive() == all(s > 0 for s in expected)
         assert x.succeq(0) == all(s >= 0 for s in expected)
-        assert x.is_totally_positive() == x.succ(0)
 
 
 def test_enclosure_width_follows_bits():
@@ -379,9 +426,9 @@ def test_succeq_examples(q2, q32):
     assert q2.rational(4).succeq(q2.one())
     x = q2.one() + q2.sqrt_term(2)
     assert not x.succeq(0)
-    assert not x.succ(0)
+    assert not x.is_totally_positive()
     w = q32.rational(2) + q32.element({2: Fraction(1, 2), 3: Fraction(1, 2)})
-    assert w.succ(0) and w.is_totally_positive()
+    assert w.is_totally_positive()
 
 
 def test_succeq_is_reflexive_and_respects_shift(q23):
@@ -390,7 +437,7 @@ def test_succeq_is_reflexive_and_respects_shift(q23):
         x = random_element(q23, rng)
         assert x.succeq(x)
         y = shift_totally_positive(x)
-        assert y.succ(0) and y.succeq(0)
+        assert y.is_totally_positive() and y.succeq(0)
 
 
 def test_trace_of_square_identity(q2, q23, q235):
@@ -457,6 +504,6 @@ def test_succeq_near_equality_exact(q5):
     golden = q5.element({0: Fraction(1, 2), 1: Fraction(1, 2)})
     tiny = golden ** -40          # unit power, one embedding ~ 1e-9, exact
     x = q5.rational(7)
-    assert (x + tiny).succ(x)
+    assert ((x + tiny) - x).is_totally_positive()
     assert not x.succeq(x + tiny)
     assert (x + tiny).succeq(x + tiny)
