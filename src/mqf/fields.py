@@ -7,10 +7,9 @@ prod_{i in I} p_i, and bit i of a mask corresponds to the generator p_{i+1}.
 All decisions (signs, orderings, total positivity) are exact; floating point
 appears only in optional prefilters and never in a decision path.
 
-Signs are decided on the stored coordinates, in one routine (:func:`_signs`).
-An integer enclosure built from the per-field table r_I = isqrt(p_I * 2^128)
-decides almost every embedding; the few it leaves open go to an exact integer
-recursion over the quadratic subfield tower (:func:`_exact_signs`).
+Signs are decided on the stored coordinates, in one routine (:func:`_signs`), by
+one integer enclosure: the per-field table r_I = isqrt(p_I * 2^128) decides almost
+every embedding, and the same test at doubled widths of the table decides the rest.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -174,7 +173,8 @@ class MultiquadField:
         return FieldElement(self, {0: 1}, 1)
 
     def rational(self, value: RationalLike) -> FieldElement:
-        return self.element({0: Fraction(value)})
+        q = Fraction(value)
+        return FieldElement(self, {0: q.numerator} if q else {}, q.denominator)
 
     def sqrt_term(self, radicand: int, coeff: RationalLike = 1) -> FieldElement:
         """The element coeff * sqrt(radicand); radicand must be some p_I."""
@@ -333,76 +333,34 @@ def _scaled_char_poly(field: MultiquadField, coords: Sequence[int]) -> list[int]
     return [coeff.get(0, 0) for coeff in poly]
 
 
-def _exact_signs(field: MultiquadField, n: Mapping[int, int], smasks: Collection[int],
-                 level: int) -> dict[int, int]:
-    """Exact sign of sigma_s(x) for each s in ``smasks``, x = sum_I n_I sqrt(p_I)
-    with integer n_I on masks < 2^level.
-
-    Splits x = u + v*sqrt(p_top) over the subfield of the first level-1
-    generators, decides by the signs of u and v where they agree or one is 0,
-    and otherwise by the sign of w = u^2 - p_top*v^2, formed once for every
-    embedding that needs it.  The subfield sees only the low bits of s.
-    """
-    if level == 0:
-        c = n.get(0, 0)
-        return dict.fromkeys(smasks, (c > 0) - (c < 0))
-    top = 1 << (level - 1)
-    row = field.mult[top]
-    # sqrt(p_I) = sqrt(p_{I^top}) * sqrt(p_top) / row[I^top] when I has the top
-    # bit; scaling by the lcm of those divisors (1 for coprime generators) keeps
-    # u and v integral and leaves every sign as it is.
-    scale = lcm(*(row[m ^ top] for m in n if m & top))
-    u: dict[int, int] = {}
-    v: dict[int, int] = {}
-    for m, c in n.items():
-        if m & top:
-            v[m ^ top] = c * scale // row[m ^ top]
-        else:
-            u[m] = c * scale
-    low = top - 1
-    lows = {s & low for s in smasks}
-    su = _exact_signs(field, u, lows, level - 1)
-    sv = _exact_signs(field, v, lows, level - 1)
-    out: dict[int, int] = {}
-    mixed = []
-    for s in smasks:
-        a = su[s & low]
-        b = -sv[s & low] if s & top else sv[s & low]
-        if b == 0 or a == b:
-            out[s] = a
-        elif a == 0:
-            out[s] = b
-        else:
-            mixed.append(s)
-    if mixed:
-        w = _mul_dicts(field, u, u)
-        for m, c in _mul_dicts(field, v, v).items():
-            w[m] = w.get(m, 0) - field.radicands[top] * c
-        sw = _exact_signs(field, w, {s & low for s in mixed}, level - 1)
-        for s in mixed:
-            out[s] = su[s & low] * sw[s & low]
-    return out
-
-
 def _signs(field: MultiquadField, n: Mapping[int, int], smasks: Sequence[int]) -> list[int]:
     """Exact sign of sigma_s(x) for each s in ``smasks``, x = sum_I n_I sqrt(p_I)
     with integer n_I; the one place signs are decided.
 
-    A_s = sum_I +-n_I r_I differs from sigma_s(x) * 2^64 by less than
-    sum_{I != 0} |n_I| (r_0 = 2^64 is exact), so a larger |A_s| decides the
-    sign as sign(A_s).  Embeddings left open go to :func:`_exact_signs`.
+    With r_I = isqrt(p_I * 4^b), A_s = sum_I +-n_I r_I differs from sigma_s(x) * 2^b
+    by less than slack = sum_{I != 0} |n_I| (r_0 = 2^b is exact), so a larger |A_s|
+    decides the sign as sign(A_s).  b starts at ROOT_BITS (the cached table) and
+    doubles while an embedding is open.  This ends for x != 0: sigma_s(x) != 0,
+    and n lies in Z[sqrt(p_I)], so its norm is a nonzero integer and |sigma_s(x)|
+    >= M^(1 - 2^k), M = sum_I |n_I| sqrt(p_I).  So the last b is ROOT_BITS or below
+    2 * (2 + log2(slack) + (2^k - 1) * log2(M)): the work is bounded by the size of
+    the coordinates.
     """
+    if not n:
+        return [0] * len(smasks)
     slack = sum(abs(c) for m, c in n.items() if m)
-    terms = [(m, c * field.roots[m]) for m, c in n.items()]
-    out = []
-    for s in smasks:
-        a = sum(-t if (s & m).bit_count() & 1 else t for m, t in terms)
-        out.append(1 if a > slack else -1 if a < -slack else 0)
-    undecided = [s for s, sign in zip(smasks, out) if not sign]
-    if undecided:
-        exact = _exact_signs(field, n, undecided, field.k)
-        out = [sign or exact[s] for s, sign in zip(smasks, out)]
-    return out
+    bits, roots = ROOT_BITS, field.roots
+    out = [0] * len(smasks)
+    while True:
+        terms = [(m, c * roots[m]) for m, c in n.items()]
+        for i, s in enumerate(smasks):
+            if not out[i]:
+                a = sum(-t if (s & m).bit_count() & 1 else t for m, t in terms)
+                out[i] = 1 if a > slack else -1 if a < -slack else 0
+        if 0 not in out:
+            return out
+        bits *= 2
+        roots = _root_table(field.radicands, bits)
 
 
 class FieldElement:

@@ -13,7 +13,7 @@ from mqf.errors import (
     NotSquarefreeError,
     PairwiseCoprimeError,
 )
-from mqf.fields import _exact_signs, factor, make_field, squarefree_part
+from mqf.fields import factor, make_field, squarefree_part
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +138,8 @@ def test_ring_arithmetic_matches_the_fraction_reference(primes):
     field = make_field(primes)
     rng = random.Random(30 + sum(primes))
     denominators = range(1, 9)
+    rationals = [(field.rational(0), FractionElement(field, {})),
+                 (field.rational(Fraction(-3, 6)), FractionElement(field, {0: Fraction(-1, 2)}))]
     for _ in range(150 if field.k < 3 else 40):
         x, y = (random_element(field, rng, spread=6, max_terms=rng.randint(0, field.degree),
                                denominators=denominators) for _ in range(2))
@@ -149,6 +151,8 @@ def test_ring_arithmetic_matches_the_fraction_reference(primes):
                  (x + n, rx + n), (n - x, n - rx), (x * n, rx * n), (n * x, rx * n),
                  (x * c, rx * c), (c * x, rx * c), (x ** e, rx ** e), (x - x, rx - rx)]
         cases += [(x.conjugate(s), rx.conjugate(s)) for s in range(field.degree)]
+        for r, rr in rationals:
+            cases += [(r, rr), (x + r, rx + rr), (r - x, rr - rx), (x * r, rx * rr)]
         if y:
             cases += [(x / y, rx / ry), (y.inverse(), ry.inverse()), (y ** -2, ry ** -2)]
         if n:
@@ -368,9 +372,8 @@ def _near_boundary(field, rng):
 
 @pytest.mark.parametrize("primes", [[2], [5], [2, 3], [6, 10], [2, 3, 5]])
 def test_signs_match_reference_recursion(primes):
-    """The enclosure plus exact fallback agrees with the Fraction recursion on
-    random, near-boundary and huge elements; the integer recursion is also run
-    alone on every embedding, since the enclosure decides almost all of them."""
+    """The refined integer enclosure agrees with the Fraction recursion on
+    random, near-boundary and huge elements, zero included."""
     field = make_field(primes)
     rng = random.Random(20 + sum(primes))
     # 10^4 elements for each k = 1, 2, 3; fewer on the second field of k = 1, 2
@@ -386,14 +389,34 @@ def test_signs_match_reference_recursion(primes):
             elements.append(_near_boundary(field, rng))
         else:
             elements.append(_huge(field, rng))
-    embeddings = range(field.degree)
     for x in elements:
         expected = signs_rec(field, x.coeffs, field.k)
         assert x.signs() == expected, x
-        exact = _exact_signs(field, x.num, embeddings, field.k)
-        assert [exact[s] for s in embeddings] == expected, x
         assert x.is_totally_positive() == all(s > 0 for s in expected)
         assert x.succeq(0) == all(s >= 0 for s in expected)
+
+
+@pytest.mark.parametrize("primes, top", [([2], 300), ([2, 3], 120), ([2, 3, 5], 60)])
+def test_signs_of_unit_powers_refine_the_enclosure(primes, top):
+    """u = (1 + sqrt2)(2 + sqrt3)(2 + sqrt5), cut to the field's generators.
+    Its powers have coordinates near |u|^n and one conjugate near |u|^-n, so
+    the enclosure at ROOT_BITS leaves that embedding open from n = 27, 11 and
+    7 on (k = 1, 2, 3), and the largest powers need a 1024-bit table.
+    1 - sqrt2 and 2 - sqrt5 are negative and 2 - sqrt3 is positive, so
+    sigma_s(u^n) has sign (-1)^(n * (bit0(s) + bit2(s)))."""
+    field = make_field(primes)
+    unit = field.one()
+    for p, c in zip(primes, (1, 2, 2)):
+        unit = unit * (c + field.sqrt_term(p))
+    negative = 0b101 & (field.degree - 1)
+    x = field.one()
+    for n in range(1, top + 1):
+        x = x * unit
+        expected = [(-1) ** (n * (s & negative).bit_count()) for s in range(field.degree)]
+        assert x.signs() == expected, n
+        assert [x.sign_at(s) for s in range(field.degree)] == expected, n
+        if n % (top // 4) == 0:
+            assert signs_rec(field, x.coeffs, field.k) == expected, n
 
 
 def test_enclosure_width_follows_bits():
