@@ -340,11 +340,11 @@ def _signs(field: MultiquadField, n: Mapping[int, int], smasks: Sequence[int]) -
     With r_I = isqrt(p_I * 4^b), A_s = sum_I +-n_I r_I differs from sigma_s(x) * 2^b
     by less than slack = sum_{I != 0} |n_I| (r_0 = 2^b is exact), so a larger |A_s|
     decides the sign as sign(A_s).  b starts at ROOT_BITS (the cached table) and
-    doubles while an embedding is open.  This ends for x != 0: sigma_s(x) != 0,
-    and n lies in Z[sqrt(p_I)], so its norm is a nonzero integer and |sigma_s(x)|
-    >= M^(1 - 2^k), M = sum_I |n_I| sqrt(p_I).  So the last b is ROOT_BITS or below
-    2 * (2 + log2(slack) + (2^k - 1) * log2(M)): the work is bounded by the size of
-    the coordinates.
+    doubles while an embedding is open.  For x != 0 this ends: sigma_s is injective,
+    and the norm of n in Z[sqrt(p_I)] is a nonzero integer, so with M = sum_I |n_I|
+    sqrt(p_I) >= |sigma_t(x)| for all t, |sigma_s(x)| >= M^(1 - 2^k).  The last b is
+    then ROOT_BITS or below 2 * (2 + log2(slack) + (2^k - 1) * log2(M)), a bound in
+    the size of the coordinates.
     """
     if not n:
         return [0] * len(smasks)
