@@ -206,9 +206,10 @@ def cmd_verify(args) -> int:
         if ws.certificate is None:
             problems = ["the witness set carries no certificate"]
         else:
-            # verify_certificate re-validates the witnesses, so the elements
-            # need only equal them
-            problems = certifier.verify_certificate(data["certificate"], jobs=jobs)
+            # the comparison re-validates the witnesses, so the elements need
+            # only equal them
+            problems = certifier.compare_certificate(ws.certificate, data["certificate"],
+                                                     jobs=jobs)
             if ws.certificate.witnesses != ws.elements:
                 problems.insert(0, "certificate witnesses differ from the element list")
     else:

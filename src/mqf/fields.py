@@ -539,15 +539,15 @@ class FieldElement:
 
     # -- numeric views -----------------------------------------------------------
 
-    def embedding_enclosures(self, bits: int = ROOT_BITS) -> list[tuple[Fraction, Fraction]]:
+    def embedding_enclosures(self) -> list[tuple[Fraction, Fraction]]:
         """Exact rational intervals containing each sigma_s(x), of width
-        sum_I |x_I| * 2^-bits (sqrt(1) too is enclosed, not taken as exact)."""
+        sum_I |x_I| * 2^-ROOT_BITS (sqrt(1) too is enclosed, not taken as exact)."""
         field = self.field
-        roots = field.roots if bits == ROOT_BITS else _root_table(field.radicands, bits)
-        scale = self.den << bits
+        roots = field.roots
+        scale = self.den << ROOT_BITS
         out = []
         for smask in range(field.degree):
-            # each term t * sqrt(p_I) * 2^bits, t = +-n_I, lies between t*r_I and t*(r_I + 1)
+            # each term t * sqrt(p_I) * 2^ROOT_BITS, t = +-n_I, lies between t*r_I and t*(r_I + 1)
             lo = hi = 0
             for m, c in self.num.items():
                 t = -c if (smask & m).bit_count() & 1 else c

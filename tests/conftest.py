@@ -1,11 +1,24 @@
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mqf.fields import make_field
 from mqf.integers import integral_residue_table
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _children_import_src():
+    """The CLI tests start `python -m mqf.cli` in child interpreters, which
+    find the package under `src` only through PYTHONPATH: pytest's
+    `pythonpath` setting reaches this process alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", str(Path(__file__).resolve().parents[1] / "src"),
+                  prepend=os.pathsep)
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iter_product
-from math import prod
+from math import isqrt, prod
 
 from mqf.certifier import _pair_region
 from mqf.cf import _convergent_chain, _twice_embedding_floor
@@ -169,6 +169,22 @@ def trace_exceeds_min_radicand(x: FieldElement) -> bool:
         return True  # rational integers are exempt
     t = x.trace()
     return t * t > min(x.field.radicands[1:])
+
+
+def enclosures_at(x: FieldElement, bits: int) -> list[tuple[Fraction, Fraction]]:
+    """Rational intervals around each sigma_s(x), of width sum_I |x_I| * 2^-bits,
+    from r_I = isqrt(p_I * 4^bits) <= sqrt(p_I) * 2^bits < r_I + 1."""
+    field = x.field
+    roots = [isqrt(p << 2 * bits) for p in field.radicands]
+    out = []
+    for smask in range(field.degree):
+        lo = hi = Fraction(0)
+        for m, c in x.coeffs.items():
+            t = -c if (smask & m).bit_count() & 1 else c
+            lo += min(t * roots[m], t * (roots[m] + 1))
+            hi += max(t * roots[m], t * (roots[m] + 1))
+        out.append((lo / 2 ** bits, hi / 2 ** bits))
+    return out
 
 
 def signs_rec(field: MultiquadField, coeffs, level: int) -> list[int]:

@@ -242,6 +242,7 @@ def test_verify_certificate_clean():
 
 @pytest.mark.parametrize("tamper", [
     "witness_coeff", "holds_flip", "drop_pair", "conclusion_bump", "scanned_edit",
+    "lattice_kind", "lattice_denominator", "pair_condition", "conclusion_null",
 ])
 def test_verify_detects_tampering(tamper):
     ws = search_witnesses(15, 2, trace_bound=60)
@@ -258,6 +259,14 @@ def test_verify_detects_tampering(tamper):
         data["conclusion"] = {"m_lower_bound": 5}
     elif tamper == "scanned_edit":
         data["pairs"][0]["scanned"] += 1
+    elif tamper == "lattice_kind":
+        data["lattice"]["kind"] = "o_k"
+    elif tamper == "lattice_denominator":
+        data["lattice"]["denominator"] = 4
+    elif tamper == "pair_condition":
+        data["pair_condition"] = "i<=j"
+    elif tamper == "conclusion_null":  # every pair holds
+        data["conclusion"] = None
     assert verify_certificate(data) != []
 
 

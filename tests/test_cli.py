@@ -372,6 +372,19 @@ def test_cli_verify_hostile_certificate_exit_3(case, artifacts, tmp_path):
     assert len(out.stderr.strip().splitlines()) == 1
 
 
+def test_cli_verify_tower_with_non_squarefree_q_exit_3(artifacts, tmp_path, capsys):
+    # 4q is prime to 15 and above both bounds; parsing the top field refuses it
+    data = json.loads(json.dumps(artifacts["tower"]))
+    q = 4 * data["steps"][0]["q"]
+    data["steps"][0]["q"] = data["field"]["primes"][1] = q
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert f"{q} is not a squarefree integer" in err
+
+
 # Replacement values: every JSON type, malformed and non-canonical rationals,
 # an over-long integer string.  Positive integers are left out: pair_budget
 # and step offsets are recorded but not replayed, so a different positive

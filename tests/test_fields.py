@@ -5,7 +5,7 @@ from math import gcd, isqrt
 import pytest
 
 from conftest import random_element, random_integer_element, shift_totally_positive
-from oracles import FractionElement, char_poly_by_products, signs_rec
+from oracles import FractionElement, char_poly_by_products, enclosures_at, signs_rec
 from mqf.errors import (
     DegenerateFieldError,
     EmptyPrimeListError,
@@ -13,7 +13,7 @@ from mqf.errors import (
     NotSquarefreeError,
     PairwiseCoprimeError,
 )
-from mqf.fields import factor, make_field, squarefree_part
+from mqf.fields import ROOT_BITS, factor, make_field, squarefree_part
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +366,7 @@ def _near_boundary(field, rng):
     # 2^-64 of an integer, which only makes the element another test case)
     bits = 64 + 2 * max((abs(c.numerator) + c.denominator).bit_length()
                         for c in y.coeffs.values() or [Fraction(0)])
-    lo, _ = y.embedding_enclosures(bits)[rng.randrange(field.degree)]
+    lo, _ = enclosures_at(y, bits)[rng.randrange(field.degree)]
     return y - (lo.numerator // lo.denominator) - rng.randint(0, 1)
 
 
@@ -420,13 +420,11 @@ def test_signs_of_unit_powers_refine_the_enclosure(primes, top):
 
 
 def test_enclosure_width_follows_bits():
-    x_coeffs = {0: Fraction(3, 2), 1: -1, 2: 5, 3: Fraction(-1, 4)}  # sum |x_I| = 31/4
-    for order in ((64, 128), (128, 64)):
-        field = make_field([2, 3])  # a fresh field: no enclosure computed before
-        x = field.element(x_coeffs)
-        for bits in order:
-            for lo, hi in x.embedding_enclosures(bits):
-                assert hi - lo == Fraction(31, 4) / 2 ** bits
+    x = make_field([2, 3]).element({0: Fraction(3, 2), 1: -1, 2: 5, 3: Fraction(-1, 4)})
+    enclosures = x.embedding_enclosures()  # sum |x_I| = 31/4
+    assert enclosures == enclosures_at(x, ROOT_BITS)
+    for lo, hi in enclosures:
+        assert hi - lo == Fraction(31, 4) / 2 ** ROOT_BITS
 
 
 def test_sign_matches_interval_at_128_bits(q2, q23, q235):
@@ -434,7 +432,7 @@ def test_sign_matches_interval_at_128_bits(q2, q23, q235):
     for field in (q2, q23, q235):
         for _ in range(200):
             x = random_element(field, rng)
-            enclosures = x.embedding_enclosures(128)
+            enclosures = enclosures_at(x, 128)
             for smask, (lo, hi) in enumerate(enclosures):
                 if lo > 0:
                     assert x.sign_at(smask) == 1

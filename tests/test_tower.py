@@ -8,7 +8,7 @@ from conftest import random_element
 from oracles import DegeneratePartError, case_b_identity_holds, check_case_c_bound, split_at_top
 from mqf.certifier import WitnessSet, certify_witness_set, dumps_canonical
 from mqf.cf import search_witnesses
-from mqf.errors import BaseWitnessNotFoundError, MqfError
+from mqf.errors import BaseWitnessNotFoundError, MqfError, NotSquarefreeError
 from mqf.fields import make_field
 from mqf.tower import (
     Tower,
@@ -55,8 +55,7 @@ def test_step_constraint_replay_fails_on_edit():
     field = make_field([5])
     w = synthetic_witnesses(field, [field.one(), field.rational(5) + 2 * field.sqrt_term(5)])
     step = select_next_q(field, w)
-    bad = TowerStep(step.base_primes, step.chosen_q - 1, step.degree_threshold,
-                    step.trace_threshold, step.max_pair_trace, step.offset)
+    bad = TowerStep(step.base_primes, step.chosen_q - 1, step.max_pair_trace, step.offset)
     assert not bad.constraints_hold()
 
 
@@ -73,6 +72,17 @@ def test_lift_doubles_traces():
     for old, new in zip(ws.elements, lifted.elements):
         assert new.trace() == 2 * old.trace()
         assert dict(new.coeffs) == dict(old.coeffs)
+
+
+def test_lift_refuses_a_non_squarefree_q():
+    # 6404 = 2^2 * 1601 passes both bounds (q > 6400) and is prime to 5;
+    # building Q(sqrt5, sqrt6404) is what refuses it
+    field = make_field([5])
+    w = synthetic_witnesses(field, [field.one(), field.rational(5) + 2 * field.sqrt_term(5)])
+    step = TowerStep(field.primes, 6404, max_pair_trace(w), 0)
+    assert step.constraints_hold()
+    with pytest.raises(NotSquarefreeError):
+        lift_witnesses(step, w)
 
 
 def test_lift_commutes_with_multiplication():
@@ -163,7 +173,10 @@ def test_tower_json_roundtrip_and_verify():
     assert verify_tower(data) == []
 
 
-@pytest.mark.parametrize("tamper", ["q_edit", "witness_edit", "claim_edit", "trace_edit"])
+@pytest.mark.parametrize("tamper", ["q_edit", "witness_edit", "claim_edit", "trace_edit",
+                                    "degree_threshold", "trace_threshold", "base_primes",
+                                    "base_field_wider_than_top", "uncertified_base",
+                                    "q_below_bounds"])
 def test_verify_tower_detects_tampering(tamper):
     tower = build_tower(15, 2, 2, trace_bound=60)
     data = json.loads(dumps_canonical(tower.to_json()))
@@ -176,6 +189,26 @@ def test_verify_tower_detects_tampering(tamper):
         data["claim"]["m_lower_bound"] = 7
     elif tamper == "trace_edit":
         data["steps"][0]["max_pair_trace"] += 1
+    elif tamper in ("degree_threshold", "trace_threshold"):
+        data["steps"][0][tamper] -= 1
+    elif tamper == "base_primes":
+        data["steps"][0]["base_primes"] = [2]
+    elif tamper == "base_field_wider_than_top":
+        # a genuine certificate whose witness uses sqrt2, which Q(sqrt15) lacks
+        k2 = make_field([15, 2])
+        data["base"]["certificate"] = json.loads(dumps_canonical(
+            certify_witness_set([k2.one(), 3 + k2.sqrt_term(2)]).to_json()))
+        data["field"]["primes"] = [15]
+    elif tamper == "q_below_bounds":  # squarefree and prime to 15, in steps and field
+        data["steps"][0]["q"] = data["field"]["primes"][1] = 2
+    elif tamper == "uncertified_base":
+        # a bundle consistent in every derived value over a base whose pair
+        # (1, 1) fails: c = 1 has 4 * 1 * 1 >= c^2
+        field = make_field([15])
+        ws = synthetic_witnesses(field, [field.one()] * 2)
+        step = select_next_q(ws.field, ws)
+        data = json.loads(dumps_canonical(Tower(15, certify_witness_set(ws), (step,),
+                                                lift_witnesses(step, ws)).to_json()))
     assert verify_tower(data) != []
 
 
