@@ -26,11 +26,7 @@ from .indecomposables import (
     normab_criterion,
     trace_bound_holds,
 )
-from .integers import (
-    LatticeBox,
-    is_algebraic_integer,
-    superset_lattice_box,
-)
+from .integers import is_algebraic_integer, superset_lattice_box
 from .tower import Tower, TowerStep, build_tower, lift_witnesses, select_next_q, verify_tower
 
 __version__ = "0.1.0"
@@ -43,7 +39,7 @@ __all__ = [
     "FieldElement", "MultiquadField", "make_field",
     "IndecomposabilityVerdict", "Verdict", "classify_indecomposable",
     "exhaustive_indecomposable", "normab_criterion", "trace_bound_holds",
-    "LatticeBox", "is_algebraic_integer", "superset_lattice_box",
+    "is_algebraic_integer", "superset_lattice_box",
     "Tower", "TowerStep", "build_tower", "lift_witnesses", "select_next_q",
     "verify_tower",
 ]

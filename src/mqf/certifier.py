@@ -31,8 +31,8 @@ import numpy as np
 from .errors import BudgetExceededError, FieldMismatchError, MqfError
 from .fields import FieldElement, MultiquadField, json_object, json_value
 from .indecomposables import require_totally_positive_integer
-from .integers import is_algebraic_integer, superset_lattice_box
-from .kernels import scan_box
+from .integers import is_algebraic_integer, scan_job, superset_lattice_box
+from .kernels import BoxScan, scan_box
 
 DEFAULT_PAIR_BUDGET = 10**8
 
@@ -168,19 +168,17 @@ class WitnessSet:
                           None if cert is None else Certificate.from_json(cert))
 
 
-def _pair_region(a: FieldElement, b: FieldElement):
-    """Box + ellipsoid enclosing every candidate c with 4ab >= c^2."""
+def _pair_job(a: FieldElement, b: FieldElement) -> BoxScan:
+    """Scan job over the box + ellipsoid enclosing every candidate c with 4ab >= c^2."""
     field = a.field
     ab = a * b
-    bounds = []
-    for lo, hi in ab.embedding_enclosures():
-        bounds.append(2 * sqrt_upper(max(hi, Fraction(0))))
-    box = superset_lattice_box(field, bounds)
+    bounds = [2 * sqrt_upper(max(hi, Fraction(0))) for hi in ab.embedding_upper_bounds()]
+    half = superset_lattice_box(field, bounds)
     tr_ab = ab.trace()
     assert tr_ab.denominator == 1, "trace of an integral product must be integral"
-    ell_bound = 4 * int(tr_ab) * (1 << field.k)
     emb_hi = np.array([float(r) for r in bounds])
-    return box, emb_hi, ell_bound
+    return scan_job(field, [-m for m in half], half, -emb_hi, emb_hi,
+                    ell_bound=4 * int(tr_ab) * (1 << field.k))
 
 
 def _confirm_order(coords: np.ndarray, radicands: Sequence[int]) -> list[np.ndarray]:
@@ -216,9 +214,8 @@ def pair_condition_certify(a: FieldElement, b: FieldElement, *, i: int = 0, j: i
     require_totally_positive_integer(a, "witness")
     require_totally_positive_integer(b, "witness")
     field = a.field
-    box, emb_hi, ell_bound = _pair_region(a, b)
+    job = _pair_job(a, b)
     fourab = a * b * 4
-    job = box.scan_job(-emb_hi, emb_hi, ell_bound=ell_bound)
     total = job.total_points()
 
     survivors = []
@@ -234,7 +231,7 @@ def pair_condition_certify(a: FieldElement, b: FieldElement, *, i: int = 0, j: i
     near_misses = 0
     violations: list[FieldElement] = []
     for row in _confirm_order(stacked, field.radicands):
-        c = box.element(row)
+        c = field.from_scaled(row, 1 << field.k)
         if fourab.succeq(c * c):
             if is_algebraic_integer(c):
                 violations.append(c)

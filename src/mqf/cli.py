@@ -24,11 +24,12 @@ EXIT_BUDGET = 2
 EXIT_INPUT = 3
 
 
-def _parse_primes(text: str) -> list[int]:
+def _parse_int_list(text: str) -> list[int]:
+    """A comma-separated integer list: --primes, --field or --offsets."""
     try:
         return [int(p) for p in text.split(",") if p.strip() != ""]
     except ValueError:
-        raise MqfError(f"cannot parse generator list '{text}'")
+        raise MqfError(f"cannot parse integer list '{text}'")
 
 
 def _positive_int(text: str) -> int:
@@ -59,7 +60,7 @@ def _subset_label(field, mask: int) -> str:
 
 
 def cmd_field(args) -> int:
-    field = make_field(_parse_primes(args.primes))
+    field = make_field(_parse_int_list(args.primes))
     lines = [f"field: {field!r}", f"degree: {field.degree}", "radicands:"]
     for mask in range(field.degree):
         lines.append(f"  p_{_subset_label(field, mask)} = {field.radicands[mask]}")
@@ -72,7 +73,7 @@ def cmd_field(args) -> int:
 
 
 def cmd_elem(args) -> int:
-    field = make_field(_parse_primes(args.field))
+    field = make_field(_parse_int_list(args.field))
     result = expr.evaluate(field, args.expr)
     text = expr.format_result(result)
     if isinstance(result, expr.BoolResult):
@@ -86,7 +87,7 @@ def cmd_elem(args) -> int:
 
 
 def cmd_indec(args) -> int:
-    field = make_field(_parse_primes(args.field))
+    field = make_field(_parse_int_list(args.field))
     value = expr.evaluate(field, args.elem)
     if not isinstance(value, expr.FieldElement):
         raise MqfError("--elem must evaluate to a field element")
@@ -169,10 +170,9 @@ def cmd_certify(args) -> int:
 
 
 def cmd_tower(args) -> int:
-    offsets = [int(x) for x in args.offsets.split(",") if x.strip() != ""] if args.offsets else None
     result = tower.build_tower(
         args.D, args.N, args.k,
-        offsets=offsets,
+        offsets=_parse_int_list(args.offsets) if args.offsets else None,
         trace_bound=args.trace_bound,
         pair_budget=args.budget or certifier.DEFAULT_PAIR_BUDGET,
         deep_verify=args.deep_verify,

@@ -539,25 +539,21 @@ class FieldElement:
 
     # -- numeric views -----------------------------------------------------------
 
-    def embedding_enclosures(self) -> list[tuple[Fraction, Fraction]]:
-        """Exact rational intervals containing each sigma_s(x), of width
-        sum_I |x_I| * 2^-ROOT_BITS (sqrt(1) too is enclosed, not taken as exact)."""
+    def embedding_upper_bounds(self) -> list[Fraction]:
+        """Exact rational upper bounds on each sigma_s(x), at most sum_I |x_I| *
+        2^-ROOT_BITS above it (sqrt(1) too is enclosed, not taken as exact)."""
         field = self.field
         roots = field.roots
         scale = self.den << ROOT_BITS
         out = []
         for smask in range(field.degree):
-            # each term t * sqrt(p_I) * 2^ROOT_BITS, t = +-n_I, lies between t*r_I and t*(r_I + 1)
-            lo = hi = 0
+            # each term t * sqrt(p_I) * 2^ROOT_BITS, t = +-n_I, is at most
+            # t*(r_I + 1) when t > 0 and t*r_I otherwise
+            hi = 0
             for m, c in self.num.items():
                 t = -c if (smask & m).bit_count() & 1 else c
-                if t > 0:
-                    lo += t * roots[m]
-                    hi += t * (roots[m] + 1)
-                else:
-                    lo += t * (roots[m] + 1)
-                    hi += t * roots[m]
-            out.append((Fraction(lo, scale), Fraction(hi, scale)))
+                hi += t * (roots[m] + (t > 0))
+            out.append(Fraction(hi, scale))
         return out
 
     def scaled_coords(self) -> tuple[int, list[int]]:

@@ -158,11 +158,10 @@ def exhaustive_indecomposable(x: FieldElement, budget: int = DEFAULT_ORACLE_BUDG
     t_max = int(trace) - 1
     if t_max < 1:
         return IndecomposabilityVerdict(x, Verdict.INDECOMPOSABLE_BY_EXHAUSTION, None, 0)
-    uppers = [hi for _, hi in x.embedding_enclosures()]
-    emb_hi = np.array([float(hi) for hi in uppers])
+    emb_hi = np.array([float(hi) for hi in x.embedding_upper_bounds()])
     # beta < x also bounds Tr(beta^2) = sum sigma_s(beta)^2 strictly by Tr(x^2).
     ell_bound = _strict_floor(Fraction(1 << field.k) * _trace_of_square(x))
-    box, job = trace_simplex_job(field, t_max, emb_hi, ell_bound=ell_bound)
+    job = trace_simplex_job(field, t_max, emb_hi, ell_bound=ell_bound)
     total = job.total_points()
 
     scanned = 0
@@ -171,7 +170,7 @@ def exhaustive_indecomposable(x: FieldElement, budget: int = DEFAULT_ORACLE_BUDG
         if not len(coords):
             continue
         for row in coords[integral_mask(field, coords)]:
-            beta = box.element(row)
+            beta = field.from_scaled(row, 1 << field.k)
             if not beta.is_totally_positive():
                 continue
             if not (x - beta).is_totally_positive():

@@ -4,16 +4,19 @@ The ring of integers O_K is needed in three forms:
 
 * exact membership via the characteristic polynomial (``is_algebraic_integer``)
 * an enclosing lattice (1/2^k) Z[sqrt(p_I)] with per-coordinate bounds
-  (``superset_lattice_box``), which contains every algebraic integer whose
-  embeddings are bounded, so enumerating it is exhaustive;
+  (``superset_lattice_box``, ``trace_simplex_box``), which contains every
+  algebraic integer whose embeddings are bounded, so enumerating it is
+  exhaustive;
 * for k <= 2, O_K as a kernel ``Lattice`` in those 2^k-scaled coordinates
   (``ring_lattice``), read off the residue table, so that a scan of the
   trace-simplex box (``trace_simplex_job``) visits the integers only.
+
+``scan_job`` turns a box of 2^k-scaled coordinates n_I = 2^k a_I into a
+kernel job; a survivor row n is the element ``field.from_scaled(n, 2^k)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -138,54 +141,41 @@ def is_algebraic_integer(x: FieldElement) -> bool:
     return _charpoly_integral(x.field, coords, den)
 
 
-@dataclass(frozen=True)
-class LatticeBox:
-    """Finite subset of the superset lattice (1/2^k) Z[sqrt(p_I)].
-
-    ``scaled_bounds[I]`` is the largest integer m with (m/2^k) sqrt(p_I) not
-    exceeding the embedding bound, so the box is { sum (n_I/2^k) sqrt(p_I) :
-    |n_I| <= scaled_bounds[I] }.  Guaranteed to contain every algebraic
-    integer all of whose embeddings are bounded by the inputs.
-    """
-
-    field: MultiquadField
-    scaled_bounds: tuple[int, ...]
-    denominator: int
-
-    def scan_job(self, emb_lo, emb_hi, *, ell_bound: int = -1) -> BoxScan:
-        """Kernel job scanning this box against float embedding intervals."""
-        field = self.field
-        if max(self.scaled_bounds) > 1 << 62:
-            raise ScanOverflowError("box coordinates would overflow int64")
-        if max(field.radicands) >= 1 << 63:
-            raise ScanOverflowError("radicands would overflow int64")
-        lo = -np.array(self.scaled_bounds, dtype=np.int64)
-        hi = np.array(self.scaled_bounds, dtype=np.int64)
-        embed = field.embedding_matrix() / self.denominator
-        emb_lo = np.asarray(emb_lo, dtype=np.float64)
-        emb_hi = np.asarray(emb_hi, dtype=np.float64)
-        margin = embedding_margin(emb_lo, emb_hi, embed, lo, hi)
-        ell = np.array(field.radicands, dtype=np.int64)
-        return BoxScan(lo, hi, embed, emb_lo, emb_hi, margin, ell, int(ell_bound))
-
-    def element(self, coords) -> FieldElement:
-        return self.field.from_scaled(coords, self.denominator)
+def scan_job(field: MultiquadField, lo, hi, emb_lo, emb_hi, *, ell_bound: int = -1,
+             lattice: Lattice | None = None) -> BoxScan:
+    """Kernel job scanning the box prod_I [lo[I], hi[I]] of 2^k-scaled
+    coordinates against float embedding windows [emb_lo, emb_hi], under the
+    radicand ellipsoid sum_I n_I^2 p_I <= ell_bound (none when negative).
+    Raises ScanOverflowError when a coordinate or a radicand would overflow
+    the kernel's int64 arithmetic."""
+    if max(abs(n) for n in (*lo, *hi)) > 1 << 62:
+        raise ScanOverflowError("box coordinates would overflow int64")
+    if max(field.radicands) >= 1 << 63:
+        raise ScanOverflowError("radicands would overflow int64")
+    lo = np.array(lo, dtype=np.int64)
+    hi = np.array(hi, dtype=np.int64)
+    embed = field.embedding_matrix() / (1 << field.k)
+    emb_lo = np.asarray(emb_lo, dtype=np.float64)
+    emb_hi = np.asarray(emb_hi, dtype=np.float64)
+    margin = embedding_margin(emb_lo, emb_hi, embed, lo, hi)
+    ell = np.array(field.radicands, dtype=np.int64)
+    return BoxScan(lo, hi, embed, emb_lo, emb_hi, margin, ell, int(ell_bound), lattice)
 
 
-def trace_simplex_box(field: MultiquadField, trace_bound: int) -> LatticeBox:
-    """Box containing every totally positive element with trace <= trace_bound.
+def trace_simplex_box(field: MultiquadField, trace_bound: int) -> tuple[int, ...]:
+    """Scaled half-widths of a box holding every totally positive element with
+    trace <= trace_bound: n_I = 2^k a_I lies in [-m_I, m_I].
 
     A totally positive beta has coordinates a_I = 2^-k sum_s (+-) sigma_s(beta)
     / sqrt(p_I) with all sigma_s positive, so |a_I| <= Tr(beta) / (2^k sqrt(p_I)).
     That is 2^k times tighter per coordinate than the generic embedding box.
     """
     t = max(0, trace_bound)
-    scaled = tuple(isqrt(t * t // p) for p in field.radicands)
-    return LatticeBox(field, scaled, 1 << field.k)
+    return tuple(isqrt(t * t // p) for p in field.radicands)
 
 
 def trace_simplex_job(field: MultiquadField, trace_bound: int, emb_hi,
-                      *, ell_bound: int = -1) -> tuple[LatticeBox, BoxScan]:
+                      *, ell_bound: int = -1) -> BoxScan:
     """Scan job for totally positive elements with trace in [1, trace_bound].
 
     The box is ``trace_simplex_box`` and the embedding windows are [0,
@@ -194,13 +184,10 @@ def trace_simplex_job(field: MultiquadField, trace_bound: int, emb_hi,
     the job carries ``ring_lattice``, so the scan visits O_K's points of the
     box only; its budget and covered counts are still box points.
     """
-    box = trace_simplex_box(field, trace_bound)
-    job = box.scan_job(np.zeros(field.degree), emb_hi, ell_bound=ell_bound)
-    lo = job.lo.copy()
-    hi = job.hi.copy()
-    lo[0] = 1
-    hi[0] = trace_bound
-    return box, replace(job, lo=lo, hi=hi, lattice=ring_lattice(field))
+    _, *rest = trace_simplex_box(field, trace_bound)
+    return scan_job(field, (1, *(-m for m in rest)), (trace_bound, *rest),
+                    np.zeros(field.degree), emb_hi, ell_bound=ell_bound,
+                    lattice=ring_lattice(field))
 
 
 def totally_positive_integers_up_to_trace(field: MultiquadField, trace_bound: int,
@@ -213,21 +200,21 @@ def totally_positive_integers_up_to_trace(field: MultiquadField, trace_bound: in
     """
     if trace_bound < 1:
         return []
-    box, job = trace_simplex_job(field, trace_bound,
-                                 np.full(field.degree, float(trace_bound)))
+    job = trace_simplex_job(field, trace_bound, np.full(field.degree, float(trace_bound)))
     out = []
     for coords, _ in scan_box(job, budget=budget):
         if not len(coords):
             continue
         for row in coords[integral_mask(field, coords)]:
-            x = box.element(row)
+            x = field.from_scaled(row, 1 << field.k)
             if x.is_totally_positive():
                 out.append(x)
     return out
 
 
-def superset_lattice_box(field: MultiquadField, embedding_bounds) -> LatticeBox:
-    """Box of the superset lattice containing all integers bounded as given.
+def superset_lattice_box(field: MultiquadField, embedding_bounds) -> tuple[int, ...]:
+    """Scaled half-widths of a box of the superset lattice containing all
+    integers bounded as given: n_I = 2^k a_I lies in [-m_I, m_I].
 
     ``embedding_bounds`` is one nonnegative rational per embedding.  The
     coordinate bound B_I = (max_s bound_s)/sqrt(p_I) is realized exactly on
@@ -239,8 +226,6 @@ def superset_lattice_box(field: MultiquadField, embedding_bounds) -> LatticeBox:
     if any(b < 0 for b in bounds):
         raise ValueError("embedding bounds must be nonnegative")
     big = max(bounds)
-    scale = 1 << field.k
-    num = (scale * big.numerator) ** 2
+    num = ((1 << field.k) * big.numerator) ** 2
     den = big.denominator ** 2
-    scaled = tuple(isqrt(num // (den * p)) for p in field.radicands)
-    return LatticeBox(field, scaled, scale)
+    return tuple(isqrt(num // (den * p)) for p in field.radicands)

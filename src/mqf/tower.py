@@ -103,6 +103,8 @@ def select_next_q(field: MultiquadField, witnesses: WitnessSet, offset: int = 0)
     """
     if witnesses.field != field:
         raise MqfError("witness set does not belong to the given field")
+    if offset < 0:
+        raise MqfError(f"offset {offset} is negative")
     step = TowerStep(field.primes, 0, max_pair_trace(witnesses), offset)
     q = max(step.degree_threshold, step.trace_threshold)
     remaining = offset
@@ -215,7 +217,7 @@ def build_tower(D: int, N: int, k: int, *, offsets: list[int] | None = None,
     offsets = list(offsets) if offsets else []
     offsets += [0] * (k - 1 - len(offsets))
     if len(offsets) > k - 1:
-        raise ValueError(f"too many offsets for a k={k} tower")
+        raise MqfError(f"too many offsets for a k={k} tower")
     if base is None:
         try:
             base = search_witnesses(D, N, trace_bound, pair_budget=pair_budget)

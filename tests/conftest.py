@@ -80,7 +80,7 @@ def random_ok_element(field, rng: random.Random, spread: int = 4):
 
 def shift_totally_positive(x):
     """Smallest integer shift t making x + t totally positive (exact)."""
-    lo_min = min(lo for lo, _ in x.embedding_enclosures())
+    lo_min = -max((-x).embedding_upper_bounds())
     t = 1
     if lo_min < 0:
         t += -lo_min.numerator // lo_min.denominator  # ceil(-lo_min)

@@ -6,9 +6,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iter_product
-from math import isqrt, prod
+from math import isqrt
 
-from mqf.certifier import _pair_region
+from mqf.certifier import _pair_job
 from mqf.cf import _convergent_chain, _twice_embedding_floor
 from mqf.errors import (
     BudgetExceededError,
@@ -247,18 +247,18 @@ def enumerate_violations_unpruned(a: FieldElement, b: FieldElement):
     if a.field != b.field:
         raise FieldMismatchError("pair elements live in different fields")
     field = a.field
-    box, _, _ = _pair_region(a, b)
-    total = prod(2 * m + 1 for m in box.scaled_bounds)
+    job = _pair_job(a, b)
+    total = job.total_points()
     if total > UNPRUNED_POINT_CAP:
         raise BudgetExceededError(0, total, "unpruned enumeration")
     fourab = a * b * 4
     violations = []
     near = 0
-    ranges = [range(-m, m + 1) for m in box.scaled_bounds]
+    ranges = [range(lo, hi + 1) for lo, hi in zip(job.lo.tolist(), job.hi.tolist())]
     for coords in iter_product(*ranges):
         if not any(coords):
             continue
-        c = box.element(coords)
+        c = field.from_scaled(coords, 1 << field.k)
         diff = fourab - c * c
         if all(diff.sign_at(s) >= 0 for s in range(field.degree)):
             if is_algebraic_integer(c):

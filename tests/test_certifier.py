@@ -9,7 +9,7 @@ from oracles import enumerate_violations_unpruned
 from mqf.certifier import (
     Certificate,
     WitnessSet,
-    _pair_region,
+    _pair_job,
     certify_witness_set,
     dumps_canonical,
     pair_condition_certify,
@@ -25,7 +25,7 @@ from mqf.errors import (
 )
 from mqf.fields import make_field
 from mqf.kernels import scan_box
-from mqf.integers import is_algebraic_integer, superset_lattice_box
+from mqf.integers import is_algebraic_integer, scan_job, superset_lattice_box
 
 
 def test_sqrt_upper_bounds():
@@ -56,8 +56,9 @@ def test_pair_one_one_fails_with_c_one(q2):
 def test_zero_bounds_box_is_vacuous(q2):
     # with embedding bounds 0 the box holds only the origin, which the
     # certifier drops, so it sees no candidate at all
-    box = superset_lattice_box(q2, [0, 0])
-    assert box.scan_job([0.0, 0.0], [0.0, 0.0]).total_points() == 1
+    half = superset_lattice_box(q2, [0, 0])
+    job = scan_job(q2, [-m for m in half], half, [0.0, 0.0], [0.0, 0.0])
+    assert job.total_points() == 1
 
 
 def test_pair_whose_only_survivor_is_the_origin_holds():
@@ -65,8 +66,7 @@ def test_pair_whose_only_survivor_is_the_origin_holds():
     # 4b >= c^2 holds no lattice point but the origin
     field = make_field([143])
     a, b = field.one(), field.element({0: 12, 1: -1})
-    box, emb_hi, ell_bound = _pair_region(a, b)
-    job = box.scan_job(-emb_hi, emb_hi, ell_bound=ell_bound)
+    job = _pair_job(a, b)
     assert [row.tolist() for coords, _ in scan_box(job) for row in coords] == [[0, 0]]
     verdict = pair_condition_certify(a, b)
     assert verdict.holds and verdict.violating_c is None and verdict.near_misses == 0

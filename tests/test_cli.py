@@ -282,6 +282,21 @@ def test_cli_bad_input_exit_3(argv, message):
     assert message in out.stderr
 
 
+@pytest.mark.parametrize("offsets, message", [
+    ("1,2,3", "too many offsets"),
+    ("x", "cannot parse"),
+    ("-1", "negative"),  # counting down from -1 would never reach the q
+], ids=["too-many", "not-a-number", "negative"])
+def test_cli_tower_bad_offsets_exit_3(offsets, message):
+    out = subprocess.run([sys.executable, "-m", "mqf.cli", "tower", "--D", "15", "--N", "2",
+                          "--k", "2", "--trace-bound", "60", "--offsets", offsets],
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 3
+    assert "Traceback" not in out.stderr
+    assert len(out.stderr.strip().splitlines()) == 1
+    assert message in out.stderr
+
+
 def test_cli_budget_flag_limits_certify(tmp_path, capsys):
     # certification of (1,1)-style fat pair in Q(sqrt 2) cannot finish in 10 points
     wfile = tmp_path / "w.json"

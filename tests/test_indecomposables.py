@@ -223,17 +223,17 @@ def _superset_verdicts(x, budgets):
     """
     field = x.field
     t_max = int(x.trace()) - 1
-    emb_hi = np.array([float(hi) for _, hi in x.embedding_enclosures()])
+    emb_hi = np.array([float(hi) for hi in x.embedding_upper_bounds()])
     tr_sq = (1 << field.k) * (x * x).trace()  # Tr((2^k scaled beta)^2) < 2^k Tr(x^2)
     ell_bound = (tr_sq.numerator - 1) // tr_sq.denominator
     first = None  # (flat index, witness)
     if t_max >= 1:
-        box, job = trace_simplex_job(field, t_max, emb_hi, ell_bound=ell_bound)
-        job = replace(job, lattice=None)
+        job = replace(trace_simplex_job(field, t_max, emb_hi, ell_bound=ell_bound),
+                      lattice=None)
         total = job.total_points()
         for coords, _ in scan_box(job, chunk=CHUNK):
             for row in coords[integral_mask(field, coords)]:
-                beta = box.element(row)
+                beta = field.from_scaled(row, 1 << field.k)
                 if beta.is_totally_positive() and (x - beta).is_totally_positive():
                     first = (int(np.ravel_multi_index(tuple(row - job.lo), job.shape)), beta)
                     break

@@ -7,11 +7,13 @@ import pytest
 
 from conftest import random_element, random_ok_element, random_tp_integer
 import mqf.integers
+from mqf.errors import ScanOverflowError
 from mqf.fields import make_field
 from mqf.integers import (
     integral_residue_table,
     is_algebraic_integer,
     ring_lattice,
+    scan_job,
     superset_lattice_box,
     totally_positive_integers_up_to_trace,
     trace_simplex_box,
@@ -106,9 +108,9 @@ def test_ring_lattice_is_o_k(primes):
 
 def test_ring_lattice_is_attached_for_k_at_most_2(q2, q23, q235):
     for field in (q2, q23):
-        _, job = trace_simplex_job(field, 5, np.full(field.degree, 5.0))
+        job = trace_simplex_job(field, 5, np.full(field.degree, 5.0))
         assert job.lattice is ring_lattice(field)
-    _, job = trace_simplex_job(q235, 5, np.full(8, 5.0))
+    job = trace_simplex_job(q235, 5, np.full(8, 5.0))
     assert ring_lattice(q235) is None and job.lattice is None
 
 
@@ -143,9 +145,8 @@ def test_random_ok_element_reaches_beyond_the_order(primes):
 # ---------------------------------------------------------------------------
 
 def test_box_example_k1(q2):
-    box = superset_lattice_box(q2, [3, 3])
-    assert box.denominator == 2
-    assert box.scaled_bounds == (6, 4)  # |a| <= 3, |b| <= 2 on the grid (1/2)Z
+    # |a| <= 3, |b| <= 2 on the grid (1/2)Z
+    assert superset_lattice_box(q2, [3, 3]) == (6, 4)
     # exhaustive: every integer a + b sqrt(2) with both embeddings in [-3, 3]
     # satisfies |a| <= 3, |b| <= 2  (grid here is (1/2)Z, integers are in Z)
     for a in range(-10, 11):
@@ -155,23 +156,24 @@ def test_box_example_k1(q2):
 
 
 def test_box_zero_bounds(q23):
-    box = superset_lattice_box(q23, [0, 0, 0, 0])
-    assert box.scaled_bounds == (0, 0, 0, 0)
-    assert box.scan_job(np.zeros(4), np.zeros(4)).total_points() == 1  # only the origin
+    half = superset_lattice_box(q23, [0, 0, 0, 0])
+    assert half == (0, 0, 0, 0)
+    job = scan_job(q23, [-m for m in half], half, np.zeros(4), np.zeros(4))
+    assert job.total_points() == 1  # only the origin
 
 
 def test_box_example_k2(q23):
-    box = superset_lattice_box(q23, [10] * 4)
+    half = superset_lattice_box(q23, [10] * 4)
     # largest multiple of 1/4 with B * sqrt(6) <= 10 is 4
-    assert box.scaled_bounds[3] == 4 * box.denominator
+    assert half[3] == 4 * 4  # scaled by 2^k = 4
     # brute-force soundness on Z[sqrt2, sqrt3] points
     import itertools
     mat = q23.embedding_matrix()
     for coords in itertools.product(range(-12, 13), repeat=2):
         vals = mat @ np.array([coords[0], 0, 0, coords[1]], dtype=np.float64)
         if max(abs(v) for v in vals) <= 9.99:
-            assert abs(coords[0]) * box.denominator <= box.scaled_bounds[0]
-            assert abs(coords[1]) * box.denominator <= box.scaled_bounds[3]
+            assert abs(coords[0]) * 4 <= half[0]
+            assert abs(coords[1]) * 4 <= half[3]
 
 
 def test_box_soundness_random_integers(q23):
@@ -180,17 +182,30 @@ def test_box_soundness_random_integers(q23):
     for field in (q23, f513):
         for _ in range(500):
             x = random_ok_element(field, rng, spread=5)
-            uppers = [max(abs(lo), abs(hi)) for lo, hi in x.embedding_enclosures()]
-            box = superset_lattice_box(field, uppers)
+            uppers = [max(u, v) for u, v in zip(x.embedding_upper_bounds(),
+                                                (-x).embedding_upper_bounds())]
+            half = superset_lattice_box(field, uppers)
             den, coords = x.scaled_coords()
-            step = box.denominator // den
+            step = (1 << field.k) // den
             for mask, n in enumerate(coords):
-                assert abs(n * step) <= box.scaled_bounds[mask], (repr(x), mask)
+                assert abs(n * step) <= half[mask], (repr(x), mask)
 
 
 def test_box_rejects_negative_bounds(q2):
     with pytest.raises(ValueError):
         superset_lattice_box(q2, [-1, 1])
+
+
+@pytest.mark.parametrize("primes, hi, message", [
+    ([2], [(1 << 62) + 1, 0], "coordinates"),
+    # squarefree and below 2^63, but 15 times it is not
+    ([15, 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43 * 47 * 53], [0] * 4, "radicands"),
+], ids=["coordinate", "radicand"])
+def test_scan_job_refuses_int64_overflow(primes, hi, message):
+    field = make_field(primes)
+    zeros = np.zeros(field.degree)
+    with pytest.raises(ScanOverflowError, match=message):
+        scan_job(field, [0] * field.degree, hi, zeros, zeros)
 
 
 def test_trace_simplex_box_contains_tp_integers(q23):
@@ -199,11 +214,11 @@ def test_trace_simplex_box_contains_tp_integers(q23):
         x = random_tp_integer(q23, rng, spread=4, use_residues=True)
         t = x.trace()
         assert t.denominator == 1
-        box = trace_simplex_box(q23, int(t))
+        half = trace_simplex_box(q23, int(t))
         den, coords = x.scaled_coords()
-        step = box.denominator // den
+        step = 4 // den  # 2^k = 4
         for mask, n in enumerate(coords):
-            assert abs(n * step) <= box.scaled_bounds[mask]
+            assert abs(n * step) <= half[mask]
 
 
 def test_totally_positive_enumeration_small(q2):
