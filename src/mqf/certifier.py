@@ -258,22 +258,17 @@ def _certify_pair(task) -> PairVerdict:
     return pair_condition_certify(a, b, i=i, j=j, budget=budget)
 
 
-def certify_witness_set(witnesses: WitnessSet | Sequence[FieldElement],
-                        *, budget: int = DEFAULT_PAIR_BUDGET,
+def certify_witness_set(elements: Sequence[FieldElement], *, budget: int = DEFAULT_PAIR_BUDGET,
                         jobs: int = 1) -> Certificate:
     """Run the pair condition on all i < j and assemble the certificate.
 
     N witnesses with every pair holding rule out (N-1)-ary universal forms,
     so the recorded conclusion is m(K) >= N.
     """
-    if isinstance(witnesses, WitnessSet):
-        field = witnesses.field
-        elements = witnesses.elements
-    else:
-        elements = tuple(witnesses)
-        if not elements:
-            raise MqfError("cannot certify an empty witness set")
-        field = elements[0].field
+    elements = tuple(elements)
+    if not elements:
+        raise MqfError("cannot certify an empty witness set")
+    field = elements[0].field
     for e in elements:
         if e.field != field:
             raise FieldMismatchError("witnesses live in different fields")
@@ -313,8 +308,7 @@ def compare_certificate(cert: Certificate, data: Mapping, *, jobs: int = 1) -> l
             problems.append(f"witness invalid: {exc}")
     if problems:
         return problems
-    fresh = certify_witness_set(WitnessSet(cert.field, cert.witnesses),
-                                budget=cert.pair_budget, jobs=jobs).to_json()
+    fresh = certify_witness_set(cert.witnesses, budget=cert.pair_budget, jobs=jobs).to_json()
     for key, value in fresh.items():
         if key == "pairs" and len(value) == len(data[key]):
             problems += [f"pair ({p['i']},{p['j']}) differs from the recomputation"

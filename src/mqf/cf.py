@@ -154,15 +154,9 @@ def quadratic_candidates(cf: CFExpansion, trace_bound: int) -> list[FieldElement
             for n0, n1 in _semiconvergent_coords(cf.D, trace_bound)]
 
 
-def _half_coords(x: FieldElement) -> tuple[int, int]:
-    # (n0, n1) with x = (n0 + n1 sqrt(D))/2; the denominator of O_K is 1 or 2.
-    den, (n0, n1) = x.scaled_coords()
-    return 2 * n0 // den, 2 * n1 // den
-
-
 def _pair_holds(D: int, a: tuple[int, int], b: tuple[int, int]) -> bool:
     """Exactly whether 4ab >= c^2 forces c = 0 for c in O_K, K = Q(sqrt(D));
-    a and b are given by their `_half_coords`.
+    a and b are given by their coordinates (n0, n1), x = (n0 + n1 sqrt(D))/2.
 
     A nonzero c with 4ab >= c^2 lies in the rectangle |sigma_s(c)| <=
     2 sqrt(sigma_s(ab)); a lattice point there that is minimal in both
@@ -187,21 +181,20 @@ def _pair_holds(D: int, a: tuple[int, int], b: tuple[int, int]) -> bool:
             return False
 
 
-def _search_pool(field: MultiquadField, pool: list[FieldElement],
-                 n_wanted: int) -> list[FieldElement] | None:
+def _search_pool(D: int, pool: list[tuple[int, int]],
+                 n_wanted: int) -> list[tuple[int, int]] | None:
     """Greedy depth-first selection by increasing trace with backtracking,
     each pair decided by the exact screen `_pair_holds`.
 
-    Returns the witnesses, or None when the pool admits no set of n_wanted.
+    Returns the coordinates of the witnesses, or None when the pool admits no
+    set of n_wanted.
     """
-    D = field.radicands[1]
-    coords = [_half_coords(x) for x in pool]
     cache: dict[tuple[int, int], bool] = {}
 
     def pair_ok(i: int, j: int) -> bool:
         key = (i, j)
         if key not in cache:
-            cache[key] = _pair_holds(D, coords[i], coords[j])
+            cache[key] = _pair_holds(D, pool[i], pool[j])
         return cache[key]
 
     chosen: list[int] = []
@@ -232,11 +225,12 @@ def _witnesses_in_field(field: MultiquadField, N: int, trace_bound: int,
     pool = _thin_pool(field, trace_bound)
     if len(pool) < N:
         return None, False
-    witnesses = _search_pool(field, pool, N)
-    if witnesses is None:
+    chosen = _search_pool(field.radicands[1], pool, N)
+    if chosen is None:
         return None, False
     try:
-        cert = certify_witness_set(witnesses, budget=pair_budget)
+        cert = certify_witness_set([field.from_scaled(c, 2) for c in chosen],
+                                   budget=pair_budget)
     except BudgetExceededError:
         return None, True
     for pair in cert.pairs:
@@ -244,7 +238,7 @@ def _witnesses_in_field(field: MultiquadField, N: int, trace_bound: int,
             raise ScreenMismatchError(
                 f"D={field.radicands[1]}: the pair screen accepted pair ({pair.i},{pair.j}) "
                 f"but enumeration finds c = {pair.violating_c!r}")
-    return WitnessSet(field, tuple(witnesses), cert), False
+    return WitnessSet(field, cert.witnesses, cert), False
 
 
 def search_witnesses(D: int, N: int, trace_bound: int = DEFAULT_TRACE_BOUND,
@@ -266,8 +260,9 @@ def search_witnesses(D: int, N: int, trace_bound: int = DEFAULT_TRACE_BOUND,
     return ws
 
 
-def _thin_pool(field: MultiquadField, trace_bound: int) -> list[FieldElement]:
-    """Pool of all indecomposables that could appear in a certified set.
+def _thin_pool(field: MultiquadField, trace_bound: int) -> list[tuple[int, int]]:
+    """Coordinates (n0, n1), x = (n0 + n1 sqrt(D))/2, of all indecomposables
+    that could appear in a certified set.
 
     1, the only semiconvergent with n1 = 0 (kept whatever its norm, and the
     first by trace), and the semiconvergents of norm < D/4: a larger norm
@@ -275,8 +270,7 @@ def _thin_pool(field: MultiquadField, trace_bound: int) -> list[FieldElement]:
     rectangle.
     """
     D = field.radicands[1]
-    return [field.from_scaled([n0, n1], 2)
-            for n0, n1 in _semiconvergent_coords(D, trace_bound)
+    return [(n0, n1) for n0, n1 in _semiconvergent_coords(D, trace_bound)
             if n1 == 0 or n0 * n0 - D * n1 * n1 < D]  # 4*N(x) < D
 
 

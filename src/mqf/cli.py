@@ -156,7 +156,7 @@ def _read_json(path: str):
 def cmd_certify(args) -> int:
     ws = WitnessSet.from_json(_read_json(args.input))
     cert = certifier.certify_witness_set(
-        ws, budget=args.budget or certifier.DEFAULT_PAIR_BUDGET, jobs=args.jobs)
+        ws.elements, budget=args.budget or certifier.DEFAULT_PAIR_BUDGET, jobs=args.jobs)
     certified = WitnessSet(ws.field, ws.elements, cert)
     lines = _witness_lines(certified)
     for pair in cert.pairs:

@@ -105,21 +105,6 @@ def normab_criterion(x: FieldElement) -> bool:
     return is_primitive(x)
 
 
-def _strict_floor(bound: Fraction) -> int:
-    """Largest integer strictly below ``bound``... for integers n < bound."""
-    return (bound.numerator - 1) // bound.denominator
-
-
-def _trace_of_square(x: FieldElement) -> Fraction:
-    """Tr(x^2) = 2^k sum_I c_I^2 p_I.
-
-    A cross term sqrt(p_I) sqrt(p_J) with I != J is a rational multiple of
-    sqrt(p_{I xor J}), whose trace is 0, so only the squares are left.
-    """
-    square = sum(n * n * x.field.radicands[m] for m, n in x.num.items())
-    return Fraction(x.field.degree * square, x.den * x.den)
-
-
 def _points_through(job, row) -> int:
     """Box points up to and including ``row`` in odometer order: its flat index + 1."""
     flat = 0
@@ -159,8 +144,10 @@ def exhaustive_indecomposable(x: FieldElement, budget: int = DEFAULT_ORACLE_BUDG
     if t_max < 1:
         return IndecomposabilityVerdict(x, Verdict.INDECOMPOSABLE_BY_EXHAUSTION, None, 0)
     emb_hi = np.array([float(hi) for hi in x.embedding_upper_bounds()])
-    # beta < x also bounds Tr(beta^2) = sum sigma_s(beta)^2 strictly by Tr(x^2).
-    ell_bound = _strict_floor(Fraction(1 << field.k) * _trace_of_square(x))
+    # beta < x gives Tr(beta^2) < Tr(x^2) = 2^k sum_I x_I^2 p_I (cross terms
+    # have trace 0); over 2^k-scaled coordinates the bound is 2^k Tr(x^2).
+    square = sum(n * n * field.radicands[m] for m, n in x.num.items())
+    ell_bound = ((square << 2 * field.k) - 1) // (x.den * x.den)
     job = trace_simplex_job(field, t_max, emb_hi, ell_bound=ell_bound)
     total = job.total_points()
 

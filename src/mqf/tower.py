@@ -9,10 +9,14 @@ machine-checkable bounds:
 * sqrt(q) > 8 * Tr_K(a_i a_j) for every pair, stored as q > 64 * maxTr^2;
 * gcd(q, p_i) = 1 for every generator.
 
-:meth:`TowerStep.constraints_hold` replays the three bounds; whether q is
-squarefree is decided in one place, by :func:`~mqf.fields.make_field` when
-K(sqrt(q)) is built (or parsed).  The headline claim for the top field
-therefore rests on the base certificate (machine-enumerated) plus these
+Lifting doubles every trace, so level l's bound is the base max pair trace
+times 2^l.  :func:`build_tower` and :func:`verify_tower` derive every step
+from it and lift the base witnesses once, into the top field, with
+:func:`lift_witnesses`.  :func:`select_next_q` screens candidates with
+``is_squarefree``; :func:`~mqf.fields.make_field` decides each chosen q once
+more when the top field is built or parsed, and
+:meth:`TowerStep.constraints_hold` replays the three bounds.  The headline
+claim therefore rests on the base certificate (machine-enumerated) plus these
 constraint logs (machine-checked integers); re-certifying in the extension is
 exposed separately because its enumeration region grows with q.
 """
@@ -22,13 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .certifier import (DEFAULT_PAIR_BUDGET, Certificate, WitnessSet, certify_witness_set,
                         compare_certificate, json_differs)
 from .cf import DEFAULT_TRACE_BOUND, search_witnesses
 from .errors import BaseWitnessNotFoundError, MqfError, WitnessNotFoundError
-from .fields import MultiquadField, is_squarefree, json_object, json_value, make_field
+from .fields import (FieldElement, MultiquadField, is_squarefree, json_object, json_value,
+                     make_field)
 
 
 @dataclass(frozen=True)
@@ -82,9 +87,8 @@ class TowerStep:
         )
 
 
-def max_pair_trace(witnesses: WitnessSet) -> int:
+def max_pair_trace(elements: Sequence[FieldElement]) -> int:
     """max over i<j of Tr_K(a_i a_j); witnesses are integral so this is an integer."""
-    elements = witnesses.elements
     best = Fraction(0)
     for i in range(len(elements)):
         for j in range(i + 1, len(elements)):
@@ -95,17 +99,15 @@ def max_pair_trace(witnesses: WitnessSet) -> int:
     return int(best)
 
 
-def select_next_q(field: MultiquadField, witnesses: WitnessSet, offset: int = 0) -> TowerStep:
+def select_next_q(primes: tuple[int, ...], max_pair_trace: int, offset: int = 0) -> TowerStep:
     """The (offset+1)-th smallest squarefree q satisfying all three bounds.
 
     Always terminates: squarefree integers have positive density and the
     constraints only exclude finitely many residues.
     """
-    if witnesses.field != field:
-        raise MqfError("witness set does not belong to the given field")
     if offset < 0:
         raise MqfError(f"offset {offset} is negative")
-    step = TowerStep(field.primes, 0, max_pair_trace(witnesses), offset)
+    step = TowerStep(tuple(primes), 0, max_pair_trace, offset)
     q = max(step.degree_threshold, step.trace_threshold)
     remaining = offset
     while True:
@@ -117,22 +119,20 @@ def select_next_q(field: MultiquadField, witnesses: WitnessSet, offset: int = 0)
             remaining -= 1
 
 
-def lift_witnesses(step: TowerStep, witnesses: WitnessSet) -> WitnessSet:
-    """Re-express the witnesses in L = K(sqrt(q)); certification is cleared.
+def lift_witnesses(witnesses: WitnessSet, top: MultiquadField) -> WitnessSet:
+    """Re-express the witnesses in ``top``, which extends their field; certification is cleared.
 
-    Coefficient masks are unchanged (the new generator occupies the top bit),
-    and the lift must double every trace, which is asserted.  Building L
-    refuses a q that is not squarefree (NotSquarefreeError).
+    Coefficient masks are unchanged (the new generators occupy the top bits),
+    and the lift must multiply every trace by [top : K], which is asserted.
     """
-    if witnesses.field.primes != step.base_primes:
-        raise MqfError("tower step does not match the witness field")
-    if not step.constraints_hold():
-        raise MqfError("tower step constraints do not hold")
-    top = make_field(list(step.base_primes) + [step.chosen_q])
+    field = witnesses.field
+    if top.primes[:field.k] != field.primes:
+        raise MqfError(f"{top!r} does not extend the witness field {field!r}")
+    ratio = top.degree // field.degree
     lifted = []
     for x in witnesses.elements:
         y = top.from_scaled(x.scaled_coords()[1], x.den)
-        assert y.trace() == 2 * x.trace(), "relative trace identity violated"
+        assert y.trace() == ratio * x.trace(), "relative trace identity violated"
         lifted.append(y)
     return WitnessSet(top, tuple(lifted), certificate=None)
 
@@ -145,7 +145,11 @@ class Tower:
     base_certificate: Certificate
     steps: tuple[TowerStep, ...]
     witnesses: WitnessSet  # in the top field
-    top_certificate: Certificate | None = None  # only with deep verification
+
+    @property
+    def top_certificate(self) -> Certificate | None:
+        """The witnesses' certificate in the top field; only with deep verification."""
+        return self.witnesses.certificate
 
     @property
     def field(self) -> MultiquadField:
@@ -184,19 +188,18 @@ class Tower:
         steps = tuple(TowerStep.from_json(s) for s in
                       json_value(data["steps"], list, "tower steps"))
         field = MultiquadField.from_json(data["field"])
+        top = data["top_certificate"]
         witnesses = WitnessSet(
             field,
             tuple(field.element_from_json(w) for w in
                   json_value(data["witnesses"], list, "tower witnesses")),
-            certificate=None,
+            certificate=None if top is None else Certificate.from_json(top),
         )
-        top = data["top_certificate"]
         return Tower(
             base_d=json_value(base["D"], int, "tower base D"),
             base_certificate=base_cert,
             steps=steps,
             witnesses=witnesses,
-            top_certificate=None if top is None else Certificate.from_json(top),
         )
 
 
@@ -225,22 +228,22 @@ def build_tower(D: int, N: int, k: int, *, offsets: list[int] | None = None,
             raise BaseWitnessNotFoundError(str(exc), budget_limited=exc.budget_limited)
     elif base.field.primes != (D,) or not base.certified:
         raise MqfError(f"base is not a certified witness set of Q(sqrt({D}))")
-    current = base
+    trace = max_pair_trace(base.elements)
+    primes = base.field.primes
     steps = []
-    for level in range(k - 1):
-        step = select_next_q(current.field, current, offsets[level])
-        current = lift_witnesses(step, current)
+    for level, offset in enumerate(offsets):
+        step = select_next_q(primes, trace << level, offset)
         steps.append(step)
-    top_cert = None
-    if deep_verify and k > 1:
-        top_cert = certify_witness_set(current, budget=pair_budget)
-        current = WitnessSet(current.field, current.elements, top_cert)
+        primes += (step.chosen_q,)
+    witnesses = lift_witnesses(base, make_field(primes) if steps else base.field)
+    if deep_verify and steps:
+        witnesses = replace(witnesses, certificate=certify_witness_set(
+            witnesses.elements, budget=pair_budget))
     return Tower(
         base_d=D,
         base_certificate=base.certificate,
         steps=tuple(steps),
-        witnesses=current,
-        top_certificate=top_cert,
+        witnesses=witnesses,
     )
 
 
@@ -248,13 +251,13 @@ def verify_tower(data: Mapping, *, jobs: int = 1) -> list[str]:
     """Rebuild a serialized tower bundle and compare it with the file.
 
     Steps are rebuilt from the recorded q's and offsets and the base max pair
-    trace, doubled at each level; the base witnesses are lifted into the parsed
-    top field.  Returns one line per mismatch.
+    trace, doubled at each level; the base witnesses are lifted into the top
+    field when it is the chain's.  Returns one line per mismatch.
     """
     tower = Tower.from_json(data)
     base = tower.base_certificate
     if base.field.primes != (tower.base_d,):
-        # the lift below reads each base witness as two coordinates
+        # the bundle claims a tower over Q(sqrt(D))
         return ["base certificate field is not Q(sqrt(D)) for the recorded D"]
     problems = [f"base: {p}" for p in
                 compare_certificate(base, data["base"]["certificate"], jobs=jobs)]
@@ -264,7 +267,7 @@ def verify_tower(data: Mapping, *, jobs: int = 1) -> list[str]:
     if base.conclusion is None:
         problems.append(f"base certificate does not conclude m >= {len(base.witnesses)}")
     primes = base.field.primes
-    trace = max_pair_trace(WitnessSet(base.field, base.witnesses))
+    trace = max_pair_trace(base.witnesses)
     steps = []
     for level, recorded in enumerate(tower.steps):
         step = TowerStep(primes, recorded.chosen_q, trace << level, recorded.offset)
@@ -272,15 +275,13 @@ def verify_tower(data: Mapping, *, jobs: int = 1) -> list[str]:
             problems.append(f"step {level}: q = {step.chosen_q} fails its bounds")
         steps.append(step)
         primes += (step.chosen_q,)
-    top = tower.field
-    lifted = WitnessSet(top, tuple(top.from_scaled(w.scaled_coords()[1], w.den)
-                                   for w in base.witnesses))
-    top_cert = None
+    if tower.field.primes != primes:
+        return problems + ["field differs from the rebuilt tower"]
+    lifted = lift_witnesses(WitnessSet(base.field, base.witnesses), tower.field)
     if tower.top_certificate is not None:
-        top_cert = certify_witness_set(lifted, budget=tower.top_certificate.pair_budget,
-                                       jobs=jobs)
-    rebuilt = Tower(tower.base_d, base, tuple(steps), lifted, top_cert).to_json()
-    rebuilt["field"] = {"primes": list(primes)}
+        lifted = replace(lifted, certificate=certify_witness_set(
+            lifted.elements, budget=tower.top_certificate.pair_budget, jobs=jobs))
+    rebuilt = Tower(tower.base_d, base, tuple(steps), lifted).to_json()
     problems += [f"{key} differs from the rebuilt tower" for key in rebuilt
                  if json_differs(rebuilt[key], data[key])]
     return problems

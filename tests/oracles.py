@@ -171,6 +171,15 @@ def trace_exceeds_min_radicand(x: FieldElement) -> bool:
     return t * t > min(x.field.radicands[1:])
 
 
+def trace_of_square(x: FieldElement) -> Fraction:
+    """Tr(x^2) = 2^k sum_I x_I^2 p_I, over the Fraction coefficients.
+
+    A cross term sqrt(p_I) sqrt(p_J) with I != J is a rational multiple of
+    sqrt(p_{I xor J}), whose trace is 0, so only the squares are left.
+    """
+    return x.field.degree * sum(c * c * x.field.radicands[m] for m, c in x.coeffs.items())
+
+
 def enclosures_at(x: FieldElement, bits: int) -> list[tuple[Fraction, Fraction]]:
     """Rational intervals around each sigma_s(x), of width sum_I |x_I| * 2^-bits,
     from r_I = isqrt(p_I * 4^bits) <= sqrt(p_I) * 2^bits < r_I + 1."""

@@ -182,14 +182,14 @@ def test_parallel_jobs_match_serial(monkeypatch):
     # three pairs and two CPUs: jobs=2 starts two worker processes
     monkeypatch.setattr("os.cpu_count", lambda: 2)
     ws = search_witnesses(55, 3)
-    serial = certify_witness_set(ws)
-    parallel = certify_witness_set(ws, jobs=2)
+    serial = certify_witness_set(ws.elements)
+    parallel = certify_witness_set(ws.elements, jobs=2)
     assert serial.to_json() == parallel.to_json()
     # a budget stop crosses the pool as the same exception
     stops = []
     for jobs in (1, 2):
         with pytest.raises(BudgetExceededError) as info:
-            certify_witness_set(ws, budget=1000, jobs=jobs)
+            certify_witness_set(ws.elements, budget=1000, jobs=jobs)
         exc = info.value
         stops.append((str(exc), exc.points_scanned, exc.points_required))
     assert stops[0] == stops[1]

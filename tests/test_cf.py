@@ -14,7 +14,6 @@ from mqf.cf import (
     DEFAULT_TRACE_BOUND,
     _cf_terms,
     _convergent_chain,
-    _half_coords,
     _pair_holds,
     _search_pool,
     _semiconvergent_coords,
@@ -281,9 +280,18 @@ def test_convergent_chain_is_the_relative_minima():
         assert from_chain == _brute_force_minima(D, bound), D
 
 
+def _half_coords(x):
+    # (n0, n1) with x = (n0 + n1 sqrt(D))/2; the denominator of O_K is 1 or 2
+    den, (n0, n1) = x.scaled_coords()
+    return 2 * n0 // den, 2 * n1 // den
+
+
 def _assert_screen_matches_enumeration(D, a, b):
-    holds = pair_condition_certify(a, b).holds
-    assert _pair_holds(D, _half_coords(a), _half_coords(b)) == holds, (D, a, b)
+    """The screen on coordinates (n0, n1), x = (n0 + n1 sqrt(D))/2, against
+    the enumeration on the elements."""
+    field = make_field([D])
+    holds = pair_condition_certify(field.from_scaled(a, 2), field.from_scaled(b, 2)).holds
+    assert _pair_holds(D, a, b) == holds, (D, a, b)
     return holds
 
 
@@ -315,7 +323,7 @@ def test_screen_matches_enumeration_on_random_pairs():
         field = make_field([D])
         for _ in range(30):
             a, b = (shift_totally_positive(random_ok_element(field, rng, 3)) for _ in "ab")
-            held += _assert_screen_matches_enumeration(D, a, b)
+            held += _assert_screen_matches_enumeration(D, _half_coords(a), _half_coords(b))
     assert held > 0
 
 
@@ -367,9 +375,10 @@ def test_search_agrees_with_a_cheap_first_pass():
         for N in (2, 3):
             found = None
             if len(cheap) >= N:
-                found = _search_pool(field, cheap, N)
+                found = _search_pool(D, cheap, N)
             if found is not None:
-                assert search_witnesses(D, N).elements == tuple(found), (D, N)
+                assert search_witnesses(D, N).elements == tuple(
+                    field.from_scaled(c, 2) for c in found), (D, N)
                 agreed += 1
     assert agreed >= 90
 

@@ -270,11 +270,20 @@ def _nested(inner: str) -> str:
     (["elem", "--field", "2", "--expr", "s2^99999999"], "too large"),
     (["elem", "--field", "2", "--expr", "10^3000*10^3000"], "too large"),
     (["elem", "--field", "2", "--expr", "\u00b2"], "unexpected character"),  # superscript 2
+    # an empty witness set, and the certificate of one (m(K) >= 0)
+    (["certify", "--in", "empty.json"], "cannot certify an empty witness set"),
+    (["verify", "empty-certificate.json"], "cannot certify an empty witness set"),
 ], ids=["convergents", "N", "k", "jobs", "elem-parens", "indec-parens", "elem-minus",
         "elem-literal", "elem-sqrt-literal", "elem-square", "elem-power", "elem-product",
-        "elem-superscript"])
-def test_cli_bad_input_exit_3(argv, message):
-    out = subprocess.run([sys.executable, "-m", "mqf.cli", *argv],
+        "elem-superscript", "certify-empty", "verify-empty"])
+def test_cli_bad_input_exit_3(argv, message, tmp_path):
+    (tmp_path / "empty.json").write_text(json.dumps(
+        {"field": {"primes": [15]}, "elements": [], "certificate": None}))
+    (tmp_path / "empty-certificate.json").write_text(json.dumps(
+        {"conclusion": {"m_lower_bound": 0}, "field": {"primes": [15]},
+         "lattice": {"denominator": 2, "kind": "superset"}, "pair_budget": 10**8,
+         "pair_condition": "i<j", "pairs": [], "witnesses": []}))
+    out = subprocess.run([sys.executable, "-m", "mqf.cli", *argv], cwd=tmp_path,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 3
     assert "Traceback" not in out.stderr

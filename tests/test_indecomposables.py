@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -6,12 +7,11 @@ import numpy as np
 import pytest
 
 from conftest import random_element, random_tp_integer
-from oracles import trace_exceeds_min_radicand
+from oracles import trace_exceeds_min_radicand, trace_of_square
 from mqf.errors import NotIntegralError, NotTotallyPositiveError, WrongDegreeError
 from mqf.fields import make_field
 from mqf.indecomposables import (
     Verdict,
-    _trace_of_square,
     classify_indecomposable,
     exhaustive_indecomposable,
     is_primitive,
@@ -280,9 +280,20 @@ def test_verdict_json(q2):
     assert data["witness"] == {"coeffs": {"0": "1/1"}}
 
 
-def test_trace_of_square_closed_form():
-    # denominators 1 to 8 in k = 1, 2, 3 fields: integral or not, totally
-    # positive or not
+def test_trace_of_square_closed_form(monkeypatch):
+    # the closed form against (x*x).trace(): denominators 1 to 8 in k = 1, 2,
+    # 3 fields, integral or not, totally positive or not; then the ellipsoid
+    # bound the oracle passes to its scan: the largest integer below 2^k Tr(x^2)
+    class Captured(Exception):
+        pass
+
+    bounds = []
+
+    def capture(field, trace_bound, emb_hi, *, ell_bound):
+        bounds.append(ell_bound)
+        raise Captured
+
+    monkeypatch.setattr("mqf.indecomposables.trace_simplex_job", capture)
     rng = random.Random(20261019)
     fields = [make_field(p) for p in ([2], [5], [13], [2, 3], [5, 13], [6, 10],
                                       [2, 3, 5], [3, 7, 11])]
@@ -290,10 +301,13 @@ def test_trace_of_square_closed_form():
     for field in fields:
         for _ in range(40):
             x = random_element(field, rng, denominators=(1, 2, 4, 8))
-            assert _trace_of_square(x) == (x * x).trace()
+            assert trace_of_square(x) == (x * x).trace()
             integral += is_algebraic_integer(x)
             positive += x.is_totally_positive()
         for _ in range(5):
-            x = random_tp_integer(field, rng)
-            assert _trace_of_square(x) == (x * x).trace()
+            x = random_tp_integer(field, rng, use_residues=True)
+            assert trace_of_square(x) == (x * x).trace()
+            with pytest.raises(Captured):
+                exhaustive_indecomposable(x, deterministic=True)
+            assert bounds.pop() == math.ceil((1 << field.k) * trace_of_square(x)) - 1
     assert 0 < integral < 320 and 0 < positive < 320

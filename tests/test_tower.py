@@ -32,29 +32,27 @@ def synthetic_witnesses(field, elements):
 def test_select_next_q_example():
     # max pair trace 10 forces q > max(16, 6400); 6401 = 37*173 is squarefree
     field = make_field([5])
-    w = synthetic_witnesses(field, [field.one(), field.rational(5) + 2 * field.sqrt_term(5)])
+    w = [field.one(), field.rational(5) + 2 * field.sqrt_term(5)]
     assert max_pair_trace(w) == 10
-    step = select_next_q(field, w, offset=0)
+    step = select_next_q(field.primes, 10, offset=0)
     assert step.chosen_q == 6401
     assert step.degree_threshold == 16
     assert step.trace_threshold == 6400
     assert step.constraints_hold()
-    nxt = select_next_q(field, w, offset=1)
+    nxt = select_next_q(field.primes, 10, offset=1)
     assert nxt.chosen_q == 6402  # 2*3*11*97, squarefree and coprime to 5
     assert nxt.constraints_hold()
 
 
 def test_select_q_offsets_strictly_increase():
-    field = make_field([15])
     ws = search_witnesses(15, 2, trace_bound=60)
-    qs = [select_next_q(field, ws, offset=i).chosen_q for i in range(4)]
+    trace = max_pair_trace(ws.elements)
+    qs = [select_next_q(ws.field.primes, trace, offset=i).chosen_q for i in range(4)]
     assert qs == sorted(set(qs))
 
 
 def test_step_constraint_replay_fails_on_edit():
-    field = make_field([5])
-    w = synthetic_witnesses(field, [field.one(), field.rational(5) + 2 * field.sqrt_term(5)])
-    step = select_next_q(field, w)
+    step = select_next_q((5,), 10)
     bad = TowerStep(step.base_primes, step.chosen_q - 1, step.max_pair_trace, step.offset)
     assert not bad.constraints_hold()
 
@@ -64,31 +62,38 @@ def test_step_constraint_replay_fails_on_edit():
 # ---------------------------------------------------------------------------
 
 def test_lift_doubles_traces():
+    # one and two levels up: Q(sqrt15, sqrt q1), then Q(sqrt15, sqrt q1, sqrt q2)
     ws = search_witnesses(15, 2, trace_bound=60)
-    step = select_next_q(ws.field, ws)
-    lifted = lift_witnesses(step, ws)
-    assert lifted.field.k == 2
-    assert lifted.certificate is None
-    for old, new in zip(ws.elements, lifted.elements):
-        assert new.trace() == 2 * old.trace()
-        assert dict(new.coeffs) == dict(old.coeffs)
+    trace = max_pair_trace(ws.elements)
+    primes = ws.field.primes
+    for level in range(2):
+        primes += (select_next_q(primes, trace << level).chosen_q,)
+        lifted = lift_witnesses(ws, make_field(primes))
+        assert lifted.field.k == level + 2
+        assert lifted.certificate is None
+        for old, new in zip(ws.elements, lifted.elements):
+            assert new.trace() == (2 << level) * old.trace()
+            assert dict(new.coeffs) == dict(old.coeffs)
 
 
 def test_lift_refuses_a_non_squarefree_q():
     # 6404 = 2^2 * 1601 passes both bounds (q > 6400) and is prime to 5;
-    # building Q(sqrt5, sqrt6404) is what refuses it
+    # building Q(sqrt5, sqrt6404), the field to lift into, is what refuses it
     field = make_field([5])
     w = synthetic_witnesses(field, [field.one(), field.rational(5) + 2 * field.sqrt_term(5)])
-    step = TowerStep(field.primes, 6404, max_pair_trace(w), 0)
+    step = TowerStep(field.primes, 6404, max_pair_trace(w.elements), 0)
     assert step.constraints_hold()
     with pytest.raises(NotSquarefreeError):
-        lift_witnesses(step, w)
+        lift_witnesses(w, make_field([5, 6404]))
+    # and a lift goes only into a field whose first generators are the witnesses'
+    with pytest.raises(MqfError, match="does not extend"):
+        lift_witnesses(w, make_field([6401, 5]))
 
 
 def test_lift_commutes_with_multiplication():
     base = make_field([15])
     ws = search_witnesses(15, 2, trace_bound=60)
-    step = select_next_q(base, ws)
+    step = select_next_q(base.primes, max_pair_trace(ws.elements))
     top = make_field(list(base.primes) + [step.chosen_q])
     rng = random.Random(71)
 
@@ -107,9 +112,9 @@ def test_lifted_pair_recertifies_small_scale():
     # the constraint bounds promise the lifted pair still certifies - check it
     # directly in the extension.
     ws = search_witnesses(15, 2, trace_bound=40)
-    step = select_next_q(ws.field, ws)
-    lifted = lift_witnesses(step, ws)
-    cert = certify_witness_set(lifted)
+    step = select_next_q(ws.field.primes, max_pair_trace(ws.elements))
+    lifted = lift_witnesses(ws, make_field(ws.field.primes + (step.chosen_q,)))
+    cert = certify_witness_set(lifted.elements)
     assert cert.all_hold
     assert cert.conclusion == 2
 
@@ -123,6 +128,23 @@ def test_build_tower_k1_degenerates_to_search():
     assert tower.steps == ()
     assert tower.field.k == 1
     assert tower.base_certificate.conclusion == 2
+    # the witnesses are an uncertified copy of the base: no top certificate
+    assert tower.top_certificate is None
+    assert verify_tower(json.loads(dumps_canonical(tower.to_json()))) == []
+
+
+def test_build_tower_builds_one_field(monkeypatch):
+    # every level is derived from the base trace; only the top field is built
+    base = search_witnesses(55, 3)
+    built = []
+
+    def counting_make_field(primes):
+        built.append(tuple(primes))
+        return make_field(primes)
+
+    monkeypatch.setattr("mqf.tower.make_field", counting_make_field)
+    tower = build_tower(55, 3, 3, base=base)
+    assert built == [tower.field.primes]
 
 
 def test_build_tower_k3():
@@ -206,9 +228,10 @@ def test_verify_tower_detects_tampering(tamper):
         # (1, 1) fails: c = 1 has 4 * 1 * 1 >= c^2
         field = make_field([15])
         ws = synthetic_witnesses(field, [field.one()] * 2)
-        step = select_next_q(ws.field, ws)
-        data = json.loads(dumps_canonical(Tower(15, certify_witness_set(ws), (step,),
-                                                lift_witnesses(step, ws)).to_json()))
+        step = select_next_q(field.primes, max_pair_trace(ws.elements))
+        top = make_field([15, step.chosen_q])
+        data = json.loads(dumps_canonical(Tower(15, certify_witness_set(ws.elements), (step,),
+                                                lift_witnesses(ws, top)).to_json()))
     assert verify_tower(data) != []
 
 
