@@ -27,22 +27,23 @@ lattice points of the box and no others; the survivors are those of the box
 scan that lie in the lattice.  The budget and the covered counts still count
 box points, so a caller's budget means the same with or without a lattice.
 
-``scan_box`` yields (survivor rows, box points covered), at most floor(chunk
-/ ceil(w / d)) whole prefixes (at least one) per yield, where w is the extent
-of the last axis and d its lattice step (1 without a lattice), so a caller
-that stops early stops after about one chunk of candidates.  On unit steps
-every yield holds exactly that many, the last excepted; a lattice scan whose
-last prefixes lie outside the lattice ends with an empty yield that closes
-the count.
+``scan_box`` yields (survivor rows, box points covered).  ``chunk`` bounds
+candidates, the last-axis values the per-point test runs on: a pass takes up
+to chunk prefix indices, and its prefixes are yielded whole, in groups whose
+candidates add up to at most chunk (at least one prefix per group), so a
+caller that stops early stops after about one chunk of candidates.  Each
+yield covers the box through its last prefix and the scan's last one through
+the point limit; a lattice scan whose last prefixes lie outside the lattice
+ends with an empty yield that closes the count.
 
 A scan is a plan and an execution.  The plan holds what the job's geometry
 alone decides (the box, the embedding and ellipsoid coefficients, the
 lattice, the point limit and the chunk): the ellipsoid guard, the prefix
-radix and pass size, the float reach and, for a scan that fits in one pass,
-that pass's prefix rows with their lattice residues, per-embedding partial
+radix, the float reach and, for a scan that fits in one pass, that pass's
+prefix rows with their box indices, lattice residues, per-embedding partial
 sums and ellipsoid prefix sums.  One call then computes only what its
 embedding windows and ellipsoid bound decide: the last-axis intervals, the
-candidates, the per-point test and the rows.
+candidates and their groups, the per-point test and the rows.
 Plans are memoized per process, least recently used first out, holding at
 most ``PLAN_ROWS`` = 2^14 prefix rows in all (about 2.2 MB at k = 3); a scan
 of several passes keeps only its plan and builds each pass's prefixes as it
@@ -122,7 +123,8 @@ def scan_box(job: BoxScan, *, budget: int | None = None, chunk: int = CHUNK):
     Survivors are the box points with flat index below min(total, budget)
     that lie in the job's lattice (if any) and pass the per-point test; the
     covered counts are box points and sum to that limit.  The caller decides
-    what a truncated scan means.
+    what a truncated scan means.  A yield holds whole prefixes and at most
+    ``chunk`` candidates, unless one prefix alone holds more.
 
     The work that the job's geometry decides comes from a memoized
     ``_Plan``; the call runs only what its embedding windows and ellipsoid
@@ -172,14 +174,12 @@ def scan_box(job: BoxScan, *, budget: int | None = None, chunk: int = CHUNK):
     done = 0  # box points covered by the earlier yields
     for block in plan.blocks():
         if block.count:
-            rows = _survivors(plan, block, low, high, cuts, ell_bound)
+            for rows, reached in _survivors(plan, block, low, high, cuts, ell_bound):
+                yield rows, reached - done
+                done = reached
         elif block.final and done < limit:
             # a lattice pass with no prefix in the box closes the count
-            rows = np.empty((0, plan.m), dtype=np.int64)
-        else:
-            continue
-        yield rows, block.reached - done
-        done = block.reached
+            yield np.empty((0, plan.m), dtype=np.int64), limit - done
 
 
 class _PlanMemo:
@@ -231,13 +231,13 @@ class _Plan:
     the ellipsoid bound are not part of it.  Prefixes are indexed by a running
     index p over mixed-radix digits (``radix``): the box coordinates
     themselves on unit steps, lattice digits t_j otherwise, in passes of
-    ``per`` indices.  A scan that fits in one pass keeps that pass's
+    ``chunk`` indices.  A scan that fits in one pass keeps that pass's
     ``_Block`` here, so a repeated geometry builds its prefixes once.
     """
 
     __slots__ = ("lattice", "lo", "shape", "embed", "ell", "m", "last", "w", "limit",
                  "lo_last", "hi_last", "below", "above", "n_prefix", "step", "radix",
-                 "n_index", "per", "e_last", "reach", "radius", "worst", "block", "rows")
+                 "n_index", "chunk", "e_last", "reach", "radius", "worst", "block", "rows")
 
     def __init__(self, job, limit, chunk):
         lattice = job.lattice
@@ -265,16 +265,20 @@ class _Plan:
             self.step = int(steps[last])
             self.radix = -(-shape[:last] // steps[:last])
             self.n_index = int(np.prod(self.radix.astype(object)))
-        self.per = max(1, chunk // -(-w // self.step))
+        self.chunk = chunk
         self.e_last = embed[:, last]
         radius = np.maximum(np.abs(lo), np.abs(lo + shape - 1)).astype(np.float64)
         self.reach = np.abs(embed[:, :last]) @ radius[:last]
         self.radius = radius.max()  # the box's largest |coordinate|
         self.worst = sum(max(abs(int(a)), abs(int(b))) ** 2 * int(e)
                          for a, b, e in zip(job.lo, job.hi, ell))
-        self.block = _Block(self, 0, self.n_index) if self.n_index <= self.per else None
+        self.block = _Block(self, 0, self.n_index) if self.n_index <= chunk else None
         self.rows = max(1, self.block.count) if self.block is not None else 1
         _freeze(self.radix, self.reach)
+
+    def covered(self, flat):
+        """Box points covered through box prefix ``flat``, clipped to the limit."""
+        return min((flat + 1) * self.w, self.limit)
 
     def blocks(self):
         """The scan's passes in order, the last one final."""
@@ -283,7 +287,7 @@ class _Plan:
             return
         p0 = 0
         while True:
-            p1 = min(p0 + self.per, self.n_index)
+            p1 = min(p0 + self.chunk, self.n_index)
             block = _Block(self, p0, p1)
             yield block
             if block.final:
@@ -294,18 +298,20 @@ class _Plan:
 class _Block:
     """The prefixes of one pass (indices [p0, p1)) and their window-free sums.
 
-    ``partial[s]`` is embedding s's float sum over the prefix axes, in the
-    per-point test's order, and ``q_prefix`` the ellipsoid form over them;
-    ``n_hi`` holds the last axis's upper ends where only the box and the
-    limit clip them; ``reached`` is the box points covered through this pass.
+    ``flat`` holds each prefix's box prefix index (its odometer index over
+    the prefix axes of the box); ``partial[s]`` is embedding s's float sum
+    over the prefix axes, in the per-point test's order, and ``q_prefix`` the
+    ellipsoid form over them; ``n_hi`` holds the last axis's upper ends where
+    only the box and the limit clip them; ``reached`` is the box points
+    covered through this pass.
     """
 
-    __slots__ = ("count", "prefix", "residue", "final", "reached", "n_hi", "partial",
+    __slots__ = ("count", "prefix", "flat", "residue", "final", "reached", "n_hi", "partial",
                  "q_prefix")
 
     def __init__(self, plan, p0, p1):
         last = plan.last
-        idx = np.arange(p0, p1, dtype=np.int64)
+        flat = idx = np.arange(p0, p1, dtype=np.int64)
         prefix = np.empty((last, p1 - p0), dtype=np.int64)
         for axis in range(last - 1, -1, -1):
             idx, prefix[axis] = np.divmod(idx, plan.radix[axis])
@@ -313,18 +319,16 @@ class _Block:
         if plan.lattice is None:
             prefix += plan.lo[:last, None]
             residue = None
-            last_flat = p1 - 1  # box prefix index of the last row
         else:
             prefix, flat, residue, cut = _lattice_prefixes(prefix, plan.lo, plan.shape,
                                                            plan.lattice, plan.n_prefix)
             final = final or cut
-            last_flat = int(flat[-1]) if len(flat) else -1
         self.count = count = prefix.shape[1]
         self.final = final
-        self.reached = plan.limit if final else min((last_flat + 1) * plan.w, plan.limit)
-        self.prefix, self.residue = prefix, residue
+        self.reached = plan.limit if final else plan.covered(int(flat[-1]) if count else -1)
+        self.prefix, self.flat, self.residue = prefix, flat, residue
         self.n_hi = np.full(count, plan.hi_last, dtype=np.int64)
-        if count and last_flat == plan.n_prefix - 1:
+        if count and flat[-1] == plan.n_prefix - 1:
             self.n_hi[-1] = plan.lo_last + (plan.limit - (plan.n_prefix - 1) * plan.w) - 1
         embed = plan.embed
         self.partial = np.zeros((embed.shape[0], count), dtype=np.float64)
@@ -339,7 +343,7 @@ class _Block:
         self.q_prefix = np.zeros(count, dtype=np.int64)
         for axis in range(last):
             self.q_prefix += prefix[axis] * prefix[axis] * plan.ell[axis]
-        _freeze(prefix, residue, self.n_hi, self.partial, self.q_prefix)
+        _freeze(prefix, flat, residue, self.n_hi, self.partial, self.q_prefix)
 
 
 def _freeze(*arrays):
@@ -349,7 +353,13 @@ def _freeze(*arrays):
 
 
 def _survivors(plan, block, low, high, cuts, ell_bound):
-    """The survivor rows of one pass under one call's windows and ellipsoid bound."""
+    """The survivor rows of one pass under one call's windows and ellipsoid bound.
+
+    Yields (rows, box points covered through the group's last prefix) for
+    groups of the pass's whole prefixes whose candidates add up to at most
+    ``plan.chunk``, at least one prefix per group; the last group reports
+    ``block.reached``.
+    """
     count = block.count
     last, step, e_last, ell = plan.last, plan.step, plan.e_last, plan.ell
     n_lo = np.full(count, plan.lo_last, dtype=np.int64)
@@ -382,11 +392,30 @@ def _survivors(plan, block, low, high, cuts, ell_bound):
     # the last axis runs from its first admissible value by ``step``
     first = n_lo if block.residue is None else n_lo + (block.residue - n_lo) % step
     counts = np.where(alive, np.maximum((n_hi - first) // step + 1, 0), 0)
-    n_cand = int(counts.sum())
-    rep = np.repeat(np.arange(count), counts)
-    starts = np.cumsum(counts) - counts
+    ends = np.cumsum(counts)  # candidates through each prefix
+    if ends[-1] <= plan.chunk:
+        yield _rows(plan, block.prefix, partial, q_prefix, first, counts, ends,
+                    low, high, ell_bound), block.reached
+        return
+    i = 0
+    while i < count:
+        base = int(ends[i - 1]) if i else 0
+        j = max(i + 1, int(np.searchsorted(ends, base + plan.chunk, side="right")))
+        g = slice(i, j)
+        rows = _rows(plan, block.prefix[:, g], partial[:, g], q_prefix[g], first[g],
+                     counts[g], ends[g] - base, low, high, ell_bound)
+        yield rows, block.reached if j == count else plan.covered(int(block.flat[j - 1]))
+        i = j
+
+
+def _rows(plan, prefix, partial, q_prefix, first, counts, ends, low, high, ell_bound):
+    """The survivor rows among the candidates of the given prefixes, where
+    ``ends`` counts the candidates through each prefix."""
+    last, step, e_last, ell = plan.last, plan.step, plan.e_last, plan.ell
+    n_cand = int(ends[-1])
+    rep = np.repeat(np.arange(len(counts)), counts)
     last_coord = (np.arange(0, n_cand * step, step, dtype=np.int64)
-                  + np.repeat(first - starts * step, counts))
+                  + np.repeat(first - (ends - counts) * step, counts))
     keep = np.ones(n_cand, dtype=np.bool_)
     for s in range(partial.shape[0]):
         acc = partial[s][rep] + last_coord * e_last[s]
@@ -395,7 +424,7 @@ def _survivors(plan, block, low, high, cuts, ell_bound):
         q = q_prefix[rep] + last_coord * last_coord * ell[last]
         keep &= q <= ell_bound
     rows = np.empty((int(keep.sum()), plan.m), dtype=np.int64)
-    rows[:, :last] = block.prefix[:, rep[keep]].T
+    rows[:, :last] = prefix[:, rep[keep]].T
     rows[:, last] = last_coord[keep]
     return rows
 

@@ -1,5 +1,7 @@
 import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -66,7 +68,8 @@ def test_pair_whose_only_survivor_is_the_origin_holds():
     # 4b >= c^2 holds no lattice point but the origin
     field = make_field([143])
     a, b = field.one(), field.element({0: 12, 1: -1})
-    job = _pair_job(a, b)
+    job, axes = _pair_job(a, b)
+    assert axes == [0, 1]
     assert [row.tolist() for coords, _ in scan_box(job) for row in coords] == [[0, 0]]
     verdict = pair_condition_certify(a, b)
     assert verdict.holds and verdict.violating_c is None and verdict.near_misses == 0
@@ -216,12 +219,20 @@ def test_pool_is_capped(q2, monkeypatch, jobs, cpus, workers):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr("mqf.certifier.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr("os.cpu_count", lambda: cpus)
     elements = [q2.one(), q2.rational(2), q2.rational(3)]
     cert = certify_witness_set(elements, jobs=jobs)
     assert sizes == ([] if workers is None else [workers])
     assert cert.to_json() == certify_witness_set(elements).to_json()
+
+
+def test_import_leaves_the_process_pool_out():
+    # a serial run never needs concurrent.futures or the multiprocessing it loads
+    code = "import sys, mqf; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60)
+    assert out.returncode == 0 and out.stdout.strip() == "False"
 
 
 def test_certificate_json_roundtrip():

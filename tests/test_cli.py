@@ -225,6 +225,22 @@ def test_cli_tower_deep_verify(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_tower_k3_deep_verify(tmp_path, capsys):
+    # the top field Q(sqrt55, sqrt q1, sqrt q2) has radicands past 2^63, but
+    # the top pairs' boxes are [0, 0] on every axis that holds sqrt q1 or
+    # sqrt q2, so their scan jobs leave those axes out
+    tfile = tmp_path / "tower.json"
+    assert run_cli("tower", "--D", "55", "--N", "3", "--k", "3", "--deep-verify",
+                   "--out", str(tfile)) == 0
+    capsys.readouterr()
+    top = json.loads(tfile.read_text())["top_certificate"]
+    assert top["conclusion"] == {"m_lower_bound": 3}
+    assert [(p["holds"], p["scanned"]) for p in top["pairs"]] == \
+        [(True, 4025), (True, 24339), (True, 734265)]
+    assert run_cli("verify", str(tfile)) == 0
+    capsys.readouterr()
+
+
 def test_cli_pool_matches_serial_with_warm_plans(tmp_path, monkeypatch, capsys):
     # two CPUs, so --jobs 2 runs the three pairs in two worker processes;
     # the witness search fills the kernel's plan memo first, and no task
@@ -376,9 +392,11 @@ def _reproduction(certificate, case):
     elif case == "coefficient-x/2":
         data["witnesses"][1]["coeffs"]["0"] = "x/2"
     elif case == "int64-radicand":
-        # squarefree and below 2^63, but 15 times it is not
+        # squarefree and below 2^63, but 15 times it is not; a pair box is
+        # [0, 0] on that radicand's axis unless a witness is this large
         data["field"]["primes"] = [15, 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43 * 47 * 53]
         data["lattice"]["denominator"] = 4
+        data["witnesses"][0]["coeffs"] = {"0": f"{10**18}/1"}
     else:
         data["field"]["primes"] = [15, 2, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
     return data

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 import mqf.kernels
+from mqf.certifier import _pair_job
 from mqf.errors import ScanOverflowError
-from mqf.integers import residue_lattice
+from mqf.fields import make_field
+from mqf.integers import residue_lattice, scan_job
 from mqf.kernels import BoxScan, Lattice, embedding_margin, scan_box
 
 
@@ -125,21 +127,23 @@ def test_odometer_order_and_chunking(monkeypatch):
     assert np.array_equal(full, small)
 
 
-@pytest.mark.parametrize("emb_lo, emb_hi", [(0.0, 4.0), (16.0, 20.0)],
-                         ids=["survivors-first", "survivors-last"])
-def test_prefix_chunk_boundaries(emb_lo, emb_hi):
-    # 21 prefixes of w = 5 points, 6 prefixes (30 points) per chunk of 30:
-    # yields of 30, 30, 30 and 15, with survivors in the first or the last
-    # yields only, so a candidate carried across a prefix-chunk boundary
-    # would show.
+@pytest.mark.parametrize("emb_lo, emb_hi, split", [
+    (0.0, 4.0, [(10, 10), (10, 10), (5, 40), (0, 45)]),
+    (16.0, 20.0, [(0, 60), (10, 30), (10, 10), (5, 5)]),
+], ids=["survivors-first", "survivors-last"])
+def test_prefix_chunk_boundaries(emb_lo, emb_hi, split):
+    # 21 prefixes n_0 = 0..20 of w = 5 points; the window keeps the five
+    # prefixes n_0 = 0..4 or 16..20 whole, 5 candidates each, all survivors.
+    # A chunk of 12 makes passes of 12 and 9 prefixes, and a pass yields its
+    # prefixes in groups of at most 12 candidates: two kept prefixes (10),
+    # two more, then the fifth with the rest of the pass.  Survivors-first:
+    # 0-1, 2-3, 4-11, then 12-20 without candidates; survivors-last: 0-11
+    # without candidates, then 12-17, 18-19 and 20.  A candidate carried
+    # across a group or pass boundary would show.
     job = _job([0, -2], [20, 2], [[1.0, 0.0]], [emb_lo], [emb_hi])
-    chunks = [(len(coords), n) for coords, n in scan_box(job, chunk=30)]
-    assert [n for _, n in chunks] == [30, 30, 30, 15]
-    found = [k > 0 for k, _ in chunks]
-    assert found == ([True, False, False, False] if emb_lo == 0.0
-                     else [False, False, True, True])
+    assert [(len(coords), n) for coords, n in scan_box(job, chunk=12)] == split
     want, n_want = collect_survivors(job, chunk=7)
-    got, n_got = collect_survivors(job, chunk=30)
+    got, n_got = collect_survivors(job, chunk=12)
     assert n_got == n_want == 105
     assert got.dtype == want.dtype and np.array_equal(got, want)
     assert [tuple(int(v) for v in row) for row in got] == _reference_scan(job)
@@ -555,16 +559,27 @@ def test_plan_memo_is_bounded_by_prefix_rows():
     assert len(memo.plans) == len(plans) and memo.rows == len(plans) * 1000
 
 
-# (survivors, covered) of every yield: one 9-point prefix per pass, then
-# passes of 4 and 2 lattice prefixes; the seventh yield of each lattice scan
-# holds the origin
+# (survivors, covered) of every yield.  JOBS[2] at chunk 7: its 729
+# nine-point prefixes in 105 passes, each prefix holding up to 9 candidates,
+# so many groups hold one prefix; the split is checked from the rows below.
+# With LATTICES[2]: 75 digit prefixes in passes of 20, 20, 20 and 15,
+# holding 18, 32, 30 and 11 candidates, so the middle two passes yield two
+# groups each.  The 27 x 13 box with LATTICES[0]: 27 prefixes n_0 = -13..13
+# of 13 points in passes of 13, 13 and 1; the candidates lie at n_0 = -2..8
+# (1, 2 | 3, 2, 3, 4, 3, 2, 3, 2, 1), so the first pass is one group of 3,
+# the second splits after n_0 = 3 (12, then 11) and the third has none.
+# JOBS[2] at chunk 500: passes of 500 and 229 prefixes, yielded in 8 and 4
+# groups of at most 500 candidates, so every count is a multiple of 9.
+WIDE_LATTICE_JOB = _job([-13, -6], [13, 6], [[0.5, 0.5 * SQRT2], [0.5, -0.5 * SQRT2]],
+                        [0.0, 0.0], [3.0, 3.0])
 MULTI_PASS = [
     (JOBS[2], None, 7, None),
-    (JOBS[2], LATTICES[2], 20, [(3, 243), (5, 324), (2, 972), (5, 324), (3, 324), (3, 972),
-                                (5, 324), (2, 972), (5, 324), (3, 324), (3, 972), (5, 324),
-                                (1, 162)]),
-    (JOBS[0], LATTICES[0], 13, [(0, 13)] * 6 + [(1, 13), (0, 13), (1, 13), (2, 13), (1, 13),
-                                                (0, 13), (1, 13)]),
+    (JOBS[2], LATTICES[2], 20, [(12, 1665), (7, 1332), (5, 414), (8, 1332), (4, 360),
+                                (9, 1458)]),
+    (WIDE_LATTICE_JOB, LATTICES[0], 13, [(0, 169), (4, 52), (2, 117), (0, 13)]),
+    (JOBS[2], None, 500, [(237, 783), (256, 648), (272, 603), (272, 603), (264, 612),
+                          (272, 612), (274, 603), (18, 36), (278, 576), (257, 657),
+                          (239, 792), (4, 36)]),
 ]
 
 
@@ -573,12 +588,112 @@ def test_multi_pass_scan_is_unchanged(job, lattice, chunk, split):
     job = _with_lattice(job, lattice)
     cold = _cold(job, chunk=chunk)
     (plan,) = mqf.kernels._PLANS.plans.values()
-    assert plan.block is None and plan.n_index > plan.per  # several passes, built per pass
+    assert plan.block is None and plan.n_index > chunk  # several passes, built per pass
     assert _yields(job, chunk=chunk) == cold
     if split is None:
-        split = [(len(rows), 9) for rows, _ in cold]
-        assert len(split) == 729
-    assert [(len(rows), n) for rows, n in cold] == split
+        # whole nine-point prefixes per yield, at least one yield per pass,
+        # and more than a chunk of survivors only from a single prefix
+        assert all(n % 9 == 0 for _, n in cold) and sum(n for _, n in cold) == 6561
+        assert len(cold) >= -(-plan.n_index // chunk)
+        assert all(len(rows) <= chunk or len({row[:-1] for row in rows}) == 1
+                   for rows, _ in cold)
+    else:
+        assert [(len(rows), n) for rows, n in cold] == split
     survivors = [row for rows, _ in cold for row in rows]
     assert survivors == _reference_scan(job)
     assert survivors == [row for rows, _ in _cold(job) for row in rows]  # in one pass
+
+
+def _groups(job, chunk):
+    """Each yield's rows, covered count and the prefixes its rows hold."""
+    return [(rows, n, {row[:-1] for row in rows}) for rows, n in _yields(job, chunk=chunk)]
+
+
+# no embedding reads the last axis and there is no ellipsoid, so a window
+# keeps or drops each prefix whole and every candidate of a kept prefix
+# survives: a yield's rows are its candidates
+WHOLE_PREFIX_JOBS = [
+    (_job([0, -2], [20, 2], [[1.0, 0.0]], [0.0], [4.0]), 5),
+    (_job([-6, -6, -6], [6, 6, 6], [[1.0, 0.5, 0.0], [0.5, -1.0, 0.0]], [-3.0, -4.0],
+          [5.0, 4.0]), 13),
+    (_job([-6, -6], [6, 6], [[1.0, 0.0], [0.5, 0.0]], [-4.0, -3.0], [4.0, 3.0],
+          lattice=LATTICES[0]), 13),
+]
+
+
+@pytest.mark.parametrize("job, w", WHOLE_PREFIX_JOBS, ids=["one-kept-run", "3-axes", "lattice"])
+def test_yields_hold_at_most_a_chunk_of_candidates(job, w):
+    total = job.total_points()
+    n_index = total // w if job.lattice is None else 13
+    for chunk in (1, 3, 7, 20, 64, n_index, mqf.kernels.CHUNK):
+        cold = _cold(job, chunk=chunk)
+        assert _yields(job, chunk=chunk) == cold  # warm
+        groups = _groups(job, chunk)
+        assert [row for rows, _, _ in groups for row in rows] == _reference_scan(job)
+        covered = 0
+        seen = set()
+        for rows, n, prefixes in groups:
+            # at most a chunk of candidates, unless one prefix alone holds more
+            assert len(rows) <= chunk or len(prefixes) == 1, (chunk, len(rows))
+            assert not prefixes & seen  # prefixes are yielded whole
+            seen |= prefixes
+            covered += n
+            assert covered % w == 0 or covered == total  # through a whole prefix
+            if rows:
+                last = _reference_scan(job, stop=covered)[-1]
+                assert last == rows[-1]  # the yield covers its last prefix
+        assert covered == total
+        if chunk >= n_index:  # one pass: its candidates split into groups
+            (plan,) = mqf.kernels._PLANS.plans.values()
+            assert plan.block is not None
+            n_survivors = len(_reference_scan(job))
+            assert len(groups) >= -(-n_survivors // chunk)
+
+
+def test_wide_pair_scans_in_one_yield():
+    # the D = 479 pair (197 - 9 sqrt 479, 1729 - 79 sqrt 479) of the N = 4
+    # set: a 9,337 x 427 box whose windows leave 18,855 candidates, fewer
+    # than a chunk, in one pass of 9,337 prefixes, which the memo keeps
+    field = make_field([479])
+    job, axes = _pair_job(field.element({0: 197, 1: -9}), field.element({0: 1729, 1: -79}))
+    assert axes == [0, 1] and job.shape.tolist() == [9337, 427]
+    cold = _cold(job)
+    assert len(cold) == 1 and cold[0][1] == job.total_points() == 3_986_899
+    assert len(cold[0][0]) == 7
+    (plan,) = mqf.kernels._PLANS.plans.values()
+    assert plan.block is not None and plan.rows == 9337 <= mqf.kernels.PLAN_ROWS
+    assert _yields(job) == cold and list(mqf.kernels._PLANS.plans.values()) == [plan]
+
+
+def test_dropped_axes_match_the_whole_box():
+    # a lattice-free box of Q(sqrt 2, sqrt 3, sqrt 5) whose axes 2, 4, 5 and 7
+    # are [0, 0]: the job over the other axes, with zeros put back, has the
+    # survivors and covered counts of the whole box's job
+    field = make_field([2, 3, 5])
+    half = [6, 4, 0, 3, 0, 0, 2, 0]
+    axes = [0, 1, 3, 6]
+    emb = np.full(8, 1.0)
+    for ell_bound in (-1, 30):
+        whole = scan_job(field, [-m for m in half], half, -emb, emb, ell_bound=ell_bound)
+        kept = scan_job(field, [-m for m in half], half, -emb, emb, ell_bound=ell_bound,
+                        axes=axes)
+        assert kept.lo.shape == (4,) and kept.total_points() == whole.total_points()
+        assert np.array_equal(kept.margin, whole.margin)
+        total = whole.total_points()
+        assert 200 < len(_reference_scan(whole)) < 300
+        for budget in (None, 1, 777, 1000, total - 1):
+            want = _reference_scan(whole, stop=budget)
+            got, scanned = collect_survivors(kept, budget=budget, chunk=50)
+            rows = np.zeros((len(got), 8), dtype=np.int64)
+            rows[:, axes] = got
+            assert _rows(rows) == want
+            assert scanned == min(total, budget or total)
+    # the radicand guard reads the kept axes only: 15 times the second prime
+    # overflows int64, but axis 3 is [0, 0]
+    big = make_field([15, 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43 * 47 * 53])
+    zeros = np.zeros(4)
+    with pytest.raises(ScanOverflowError, match="radicands"):
+        scan_job(big, [0, -1, -1, 0], [0, 1, 1, 0], zeros, zeros)
+    job = scan_job(big, [0, -1, -1, 0], [0, 1, 1, 0], zeros, zeros, axes=[0, 1, 2])
+    assert job.ell_coeffs.tolist() == list(big.radicands[:3])
+    assert _rows(collect_survivors(job)[0]) == _reference_scan(job) == [(0, 0, 0)]
