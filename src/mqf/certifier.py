@@ -167,10 +167,8 @@ class WitnessSet:
                           None if cert is None else Certificate.from_json(cert))
 
 
-def _pair_job(a: FieldElement, b: FieldElement) -> tuple[BoxScan, list[int]]:
-    """Scan job over the box + ellipsoid enclosing every candidate c with
-    4ab >= c^2, and the axes it holds: those of nonzero extent (axis 0 when
-    there are none), since every other axis holds c_I = 0 only."""
+def _pair_job(a: FieldElement, b: FieldElement) -> BoxScan:
+    """Scan job over the box + ellipsoid enclosing every candidate c with 4ab >= c^2."""
     field = a.field
     ab = a * b
     bounds = [2 * sqrt_upper(max(hi, Fraction(0))) for hi in ab.embedding_upper_bounds()]
@@ -178,10 +176,8 @@ def _pair_job(a: FieldElement, b: FieldElement) -> tuple[BoxScan, list[int]]:
     tr_ab = ab.trace()
     assert tr_ab.denominator == 1, "trace of an integral product must be integral"
     emb_hi = np.array([float(r) for r in bounds])
-    axes = [I for I, m in enumerate(half) if m] or [0]
-    job = scan_job(field, [-m for m in half], half, -emb_hi, emb_hi,
-                   ell_bound=4 * int(tr_ab) * (1 << field.k), axes=axes)
-    return job, axes
+    return scan_job(field, [-m for m in half], half, -emb_hi, emb_hi,
+                    ell_bound=4 * int(tr_ab) * (1 << field.k))
 
 
 def _confirm_order(coords: np.ndarray, radicands: Sequence[int]) -> list[np.ndarray]:
@@ -217,7 +213,7 @@ def pair_condition_certify(a: FieldElement, b: FieldElement, *, i: int = 0, j: i
     require_totally_positive_integer(a, "witness")
     require_totally_positive_integer(b, "witness")
     field = a.field
-    job, axes = _pair_job(a, b)
+    job = _pair_job(a, b)
     fourab = a * b * 4
     total = job.total_points()
 
@@ -228,14 +224,12 @@ def pair_condition_certify(a: FieldElement, b: FieldElement, *, i: int = 0, j: i
         if len(coords):
             survivors.append(coords)
     stacked = (np.concatenate(survivors, axis=0) if survivors
-               else np.empty((0, len(axes)), dtype=np.int64))
+               else np.empty((0, field.degree), dtype=np.int64))
     stacked = stacked[stacked.any(axis=1)]  # c = 0 is the one point the condition allows
-    found = np.zeros((len(stacked), field.degree), dtype=np.int64)
-    found[:, axes] = stacked
 
     near_misses = 0
     violations: list[FieldElement] = []
-    for row in _confirm_order(found, field.radicands):
+    for row in _confirm_order(stacked, field.radicands):
         c = field.from_scaled(row, 1 << field.k)
         if fourab.succeq(c * c):
             if is_algebraic_integer(c):

@@ -142,22 +142,19 @@ def is_algebraic_integer(x: FieldElement) -> bool:
 
 
 def scan_job(field: MultiquadField, lo, hi, emb_lo, emb_hi, *, ell_bound: int = -1,
-             lattice: Lattice | None = None, axes: list[int] | None = None) -> BoxScan:
+             lattice: Lattice | None = None) -> BoxScan:
     """Kernel job scanning the box prod_I [lo[I], hi[I]] of 2^k-scaled
     coordinates against float embedding windows [emb_lo, emb_hi], under the
     radicand ellipsoid sum_I n_I^2 p_I <= ell_bound (none when negative).
 
-    Given ``axes``, the job holds those axes only, with their radicands and
-    embedding columns; every other axis must have lo = hi = 0 and no lattice
-    be given.  A survivor row r is then the point with n[axes] = r and 0
-    elsewhere.  The margin is that of the whole box and the flat odometer
-    indices are the box's, so the survivors and the covered counts are those
-    of the whole box.  Raises ScanOverflowError when a coordinate or a
-    scanned axis's radicand would overflow the kernel's int64 arithmetic."""
+    An axis whose box is [0, 0] holds n_I = 0 only, so its ellipsoid
+    coefficient is 0 whatever p_I is (and a lattice-free scan leaves that
+    axis out).  Raises ScanOverflowError when a coordinate or the radicand of
+    another axis would overflow the kernel's int64 arithmetic."""
     if max(abs(n) for n in (*lo, *hi)) > 1 << 62:
         raise ScanOverflowError("box coordinates would overflow int64")
-    radicands = field.radicands if axes is None else [field.radicands[I] for I in axes]
-    if max(radicands) >= 1 << 63:
+    ell = [0 if a == b == 0 else p for a, b, p in zip(lo, hi, field.radicands)]
+    if max(ell) >= 1 << 63:
         raise ScanOverflowError("radicands would overflow int64")
     lo = np.array(lo, dtype=np.int64)
     hi = np.array(hi, dtype=np.int64)
@@ -165,9 +162,7 @@ def scan_job(field: MultiquadField, lo, hi, emb_lo, emb_hi, *, ell_bound: int = 
     emb_lo = np.asarray(emb_lo, dtype=np.float64)
     emb_hi = np.asarray(emb_hi, dtype=np.float64)
     margin = embedding_margin(emb_lo, emb_hi, embed, lo, hi)
-    if axes is not None:
-        lo, hi, embed = lo[axes], hi[axes], embed[:, axes]
-    ell = np.array(radicands, dtype=np.int64)
+    ell = np.array(ell, dtype=np.int64)
     return BoxScan(lo, hi, embed, emb_lo, emb_hi, margin, ell, int(ell_bound), lattice)
 
 

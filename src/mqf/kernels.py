@@ -28,30 +28,40 @@ scan that lie in the lattice.  The budget and the covered counts still count
 box points, so a caller's budget means the same with or without a lattice.
 
 ``scan_box`` yields (survivor rows, box points covered).  ``chunk`` bounds
-candidates, the last-axis values the per-point test runs on: a pass takes up
-to chunk prefix indices, and its prefixes are yielded whole, in groups whose
-candidates add up to at most chunk (at least one prefix per group), so a
-caller that stops early stops after about one chunk of candidates.  Each
-yield covers the box through its last prefix and the scan's last one through
-the point limit; a lattice scan whose last prefixes lie outside the lattice
-ends with an empty yield that closes the count.
+candidates, the last-axis values the per-point test runs on.  The first
+pass takes chunk // ceil(w/d) prefixes (at least one), where w is the extent
+of the last axis and d its lattice step, so it holds at most a chunk of
+candidates; each later pass takes twice as many prefixes as the one before,
+up to chunk.  A pass yields its prefixes whole, in groups whose candidates
+add up to at most chunk (at least one prefix per group).  A caller that
+stops at a yield has built at most twice the prefixes that the yields so far
+covered, or a chunk more than them, and run the per-point test on their
+candidates only.  Each yield covers the box through its last prefix and the scan's last one
+through the point limit; a lattice scan whose last prefixes lie outside
+the lattice ends with an empty yield that closes the count.
+
+A lattice-free axis whose box is [0, 0] adds exactly 0 to every sum, so the
+scan leaves it out and its rows hold 0 there; a lattice can exclude 0 on
+an axis, so a lattice scan keeps every axis.
 
 A scan is a plan and an execution.  The plan holds what the job's geometry
 alone decides (the box, the embedding and ellipsoid coefficients, the
-lattice, the point limit and the chunk): the ellipsoid guard, the prefix
-radix, the float reach and, for a scan that fits in one pass, that pass's
-prefix rows with their box indices, lattice residues, per-embedding partial
-sums and ellipsoid prefix sums.  One call then computes only what its
-embedding windows and ellipsoid bound decide: the last-axis intervals, the
-candidates and their groups, the per-point test and the rows.
-Plans are memoized per process, least recently used first out, holding at
-most ``PLAN_ROWS`` = 2^14 prefix rows in all (about 2.2 MB at k = 3); a scan
-of several passes keeps only its plan and builds each pass's prefixes as it
-goes, through the same block builder.
+lattice, the point limit and the chunk): the scanned axes, the ellipsoid
+guard, the prefix radix, the float reach and, for a scan of at most
+``PLAN_ROWS`` = 2^14 prefixes, each pass's prefix rows with their box
+indices, lattice residues, per-embedding partial sums and ellipsoid prefix
+sums, built when a scan first reaches the pass.  One call then computes
+only what its embedding windows and ellipsoid bound decide: the last-axis
+intervals, the candidates and their groups, the per-point test and the
+rows.  Plans are memoized per process, least recently used first out,
+holding at most ``PLAN_ROWS`` prefix rows in all (about 2.2 MB at k = 3); a
+larger scan keeps only its plan and builds each pass's prefixes as it goes,
+through the same block builder.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -124,7 +134,8 @@ def scan_box(job: BoxScan, *, budget: int | None = None, chunk: int = CHUNK):
     that lie in the job's lattice (if any) and pass the per-point test; the
     covered counts are box points and sum to that limit.  The caller decides
     what a truncated scan means.  A yield holds whole prefixes and at most
-    ``chunk`` candidates, unless one prefix alone holds more.
+    ``chunk`` candidates, unless one prefix alone holds more; the first pass
+    holds at most ``chunk`` candidates.
 
     The work that the job's geometry decides comes from a memoized
     ``_Plan``; the call runs only what its embedding windows and ellipsoid
@@ -179,18 +190,18 @@ def scan_box(job: BoxScan, *, budget: int | None = None, chunk: int = CHUNK):
                 done = reached
         elif block.final and done < limit:
             # a lattice pass with no prefix in the box closes the count
-            yield np.empty((0, plan.m), dtype=np.int64), limit - done
+            yield np.empty((0, plan.width), dtype=np.int64), limit - done
 
 
 class _PlanMemo:
     """The most recently used plans, holding at most ``PLAN_ROWS`` prefix rows.
 
-    A plan counts the rows of its one-pass block, and at least one; a plan
-    that alone holds more is built for its call and not kept.  The key holds
+    A plan that keeps its passes counts its prefix indices, and one that
+    does not (more than ``PLAN_ROWS`` of them) counts one.  The key holds
     every input a plan reads: the box, the embedding and ellipsoid
-    coefficients, the point limit, the chunk and the lattice.  The
-    lattice is keyed by identity, and the plan holds it, so its id is not
-    reused while the plan is kept.
+    coefficients, the point limit, the chunk and the lattice.  The lattice is
+    keyed by identity, and the plan holds it, so its id is not reused while
+    the plan is kept.
     """
 
     def __init__(self):
@@ -212,11 +223,10 @@ class _PlanMemo:
             self.plans.move_to_end(key)
             return plan
         plan = _Plan(job, limit, chunk)
-        if plan.rows <= PLAN_ROWS:
-            self.plans[key] = plan
-            self.rows += plan.rows
-            while self.rows > PLAN_ROWS:
-                self.rows -= self.plans.popitem(last=False)[1].rows
+        self.plans[key] = plan
+        self.rows += plan.rows
+        while self.rows > PLAN_ROWS:
+            self.rows -= self.plans.popitem(last=False)[1].rows
         return plan
 
 
@@ -228,28 +238,39 @@ class _Plan:
 
     The geometry is the box, the embedding coefficients, the ellipsoid form's
     coefficients, the lattice, the point limit and the chunk; the windows and
-    the ellipsoid bound are not part of it.  Prefixes are indexed by a running
-    index p over mixed-radix digits (``radix``): the box coordinates
-    themselves on unit steps, lattice digits t_j otherwise, in passes of
-    ``chunk`` indices.  A scan that fits in one pass keeps that pass's
-    ``_Block`` here, so a repeated geometry builds its prefixes once.
+    the ellipsoid bound are not part of it.  A lattice-free axis whose box is
+    [0, 0] adds exactly 0 to every sum, so the plan scans the other axes
+    (``axes``) only, and the rows hold 0 there.  Prefixes are indexed by a
+    running index p over mixed-radix digits (``radix``): the box coordinates
+    themselves on unit steps, lattice digits t_j otherwise.  The first pass
+    takes ``first`` indices, at most a chunk of box points, and each later
+    pass twice as many as the one before, up to ``chunk``.  A plan of at most
+    ``PLAN_ROWS`` indices keeps each pass's ``_Block`` in ``built`` as it is
+    first built, so a repeated geometry builds its prefixes once.
     """
 
-    __slots__ = ("lattice", "lo", "shape", "embed", "ell", "m", "last", "w", "limit",
-                 "lo_last", "hi_last", "below", "above", "n_prefix", "step", "radix",
-                 "n_index", "chunk", "e_last", "reach", "radius", "worst", "block", "rows")
+    __slots__ = ("lattice", "axes", "width", "lo", "shape", "embed", "ell", "m", "last", "w",
+                 "limit", "lo_last", "hi_last", "below", "above", "n_prefix", "step", "radix",
+                 "n_index", "chunk", "first", "e_last", "reach", "radius", "worst", "built",
+                 "rows")
 
     def __init__(self, job, limit, chunk):
         lattice = job.lattice
-        lo = job.lo.astype(np.int64)
-        shape = job.shape.astype(np.int64)
-        embed = np.array(job.embed, dtype=np.float64, order="C")
-        ell = job.ell_coeffs.astype(np.int64)
-        _freeze(lo, shape, embed, ell)  # before any view is taken, so views are read-only too
+        self.width = width = job.lo.shape[0]
+        axes = np.arange(width)
+        if lattice is None:
+            axes = np.flatnonzero((job.lo != 0) | (job.hi != 0))
+            if not axes.size:
+                axes = np.array([width - 1])
+        lo = job.lo[axes].astype(np.int64)
+        shape = job.shape[axes].astype(np.int64)
+        embed = np.array(job.embed[:, axes], dtype=np.float64, order="C")
+        ell = job.ell_coeffs[axes].astype(np.int64)
+        _freeze(axes, lo, shape, embed, ell)  # before any view is taken, so views are read-only too
         m = lo.shape[0]
         last = m - 1
         w = int(shape[last])
-        self.lattice = lattice
+        self.lattice, self.axes = lattice, axes
         self.lo, self.shape, self.embed, self.ell = lo, shape, embed, ell
         self.m, self.last, self.w, self.limit = m, last, w, limit
         self.lo_last = int(lo[last])
@@ -266,14 +287,15 @@ class _Plan:
             self.radix = -(-shape[:last] // steps[:last])
             self.n_index = int(np.prod(self.radix.astype(object)))
         self.chunk = chunk
+        self.first = max(1, chunk // -(-w // self.step))
         self.e_last = embed[:, last]
         radius = np.maximum(np.abs(lo), np.abs(lo + shape - 1)).astype(np.float64)
         self.reach = np.abs(embed[:, :last]) @ radius[:last]
         self.radius = radius.max()  # the box's largest |coordinate|
         self.worst = sum(max(abs(int(a)), abs(int(b))) ** 2 * int(e)
-                         for a, b, e in zip(job.lo, job.hi, ell))
-        self.block = _Block(self, 0, self.n_index) if self.n_index <= chunk else None
-        self.rows = max(1, self.block.count) if self.block is not None else 1
+                         for a, b, e in zip(lo, lo + shape - 1, ell))
+        self.built = [] if self.n_index <= PLAN_ROWS else None
+        self.rows = self.n_index if self.built is not None else 1
         _freeze(self.radix, self.reach)
 
     def covered(self, flat):
@@ -282,17 +304,18 @@ class _Plan:
 
     def blocks(self):
         """The scan's passes in order, the last one final."""
-        if self.block is not None:
-            yield self.block
-            return
-        p0 = 0
-        while True:
-            p1 = min(p0 + self.chunk, self.n_index)
-            block = _Block(self, p0, p1)
+        p0, size = 0, self.first
+        for i in itertools.count():
+            if self.built is not None and i < len(self.built):
+                block = self.built[i]
+            else:
+                block = _Block(self, p0, min(p0 + size, self.n_index))
+                if self.built is not None:
+                    self.built.append(block)
             yield block
             if block.final:
                 return
-            p0 = p1
+            p0, size = p0 + size, min(2 * size, self.chunk)
 
 
 class _Block:
@@ -393,28 +416,27 @@ def _survivors(plan, block, low, high, cuts, ell_bound):
     first = n_lo if block.residue is None else n_lo + (block.residue - n_lo) % step
     counts = np.where(alive, np.maximum((n_hi - first) // step + 1, 0), 0)
     ends = np.cumsum(counts)  # candidates through each prefix
-    if ends[-1] <= plan.chunk:
-        yield _rows(plan, block.prefix, partial, q_prefix, first, counts, ends,
-                    low, high, ell_bound), block.reached
-        return
-    i = 0
+    i = base = 0  # the group's first prefix and the candidates before it
     while i < count:
-        base = int(ends[i - 1]) if i else 0
-        j = max(i + 1, int(np.searchsorted(ends, base + plan.chunk, side="right")))
+        # the last prefix whose candidates fit the chunk: all when the rest of the pass fits
+        j = count if int(ends[-1]) - base <= plan.chunk else \
+            max(i + 1, int(np.searchsorted(ends, base + plan.chunk, side="right")))
         g = slice(i, j)
         rows = _rows(plan, block.prefix[:, g], partial[:, g], q_prefix[g], first[g],
-                     counts[g], ends[g] - base, low, high, ell_bound)
+                     counts[g], ends[g], base, low, high, ell_bound)
         yield rows, block.reached if j == count else plan.covered(int(block.flat[j - 1]))
-        i = j
+        i, base = j, int(ends[j - 1])
 
 
-def _rows(plan, prefix, partial, q_prefix, first, counts, ends, low, high, ell_bound):
+def _rows(plan, prefix, partial, q_prefix, first, counts, ends, base, low, high, ell_bound):
     """The survivor rows among the candidates of the given prefixes, where
-    ``ends`` counts the candidates through each prefix."""
+    ``ends`` counts the candidates of the pass through each prefix and
+    ``base`` those before the first."""
     last, step, e_last, ell = plan.last, plan.step, plan.e_last, plan.ell
-    n_cand = int(ends[-1])
+    n_cand = int(ends[-1]) - base
     rep = np.repeat(np.arange(len(counts)), counts)
-    last_coord = (np.arange(0, n_cand * step, step, dtype=np.int64)
+    # candidate base + t lies (base + t - start) steps past its prefix's first value
+    last_coord = (np.arange(base * step, (base + n_cand) * step, step, dtype=np.int64)
                   + np.repeat(first - (ends - counts) * step, counts))
     keep = np.ones(n_cand, dtype=np.bool_)
     for s in range(partial.shape[0]):
@@ -423,9 +445,9 @@ def _rows(plan, prefix, partial, q_prefix, first, counts, ends, low, high, ell_b
     if ell_bound >= 0:
         q = q_prefix[rep] + last_coord * last_coord * ell[last]
         keep &= q <= ell_bound
-    rows = np.empty((int(keep.sum()), plan.m), dtype=np.int64)
-    rows[:, :last] = prefix[:, rep[keep]].T
-    rows[:, last] = last_coord[keep]
+    rows = np.zeros((int(keep.sum()), plan.width), dtype=np.int64)
+    rows[:, plan.axes[:last]] = prefix[:, rep[keep]].T
+    rows[:, plan.axes[last]] = last_coord[keep]
     return rows
 
 

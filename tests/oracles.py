@@ -256,16 +256,14 @@ def enumerate_violations_unpruned(a: FieldElement, b: FieldElement):
     if a.field != b.field:
         raise FieldMismatchError("pair elements live in different fields")
     field = a.field
-    job, axes = _pair_job(a, b)
+    job = _pair_job(a, b)
     total = job.total_points()
     if total > UNPRUNED_POINT_CAP:
         raise BudgetExceededError(0, total, "unpruned enumeration")
     fourab = a * b * 4
     violations = []
     near = 0
-    ranges = [range(1)] * field.degree  # the axes the job leaves out hold 0 only
-    for axis, lo, hi in zip(axes, job.lo.tolist(), job.hi.tolist()):
-        ranges[axis] = range(lo, hi + 1)
+    ranges = [range(lo, hi + 1) for lo, hi in zip(job.lo.tolist(), job.hi.tolist())]
     for coords in iter_product(*ranges):
         if not any(coords):
             continue

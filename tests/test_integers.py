@@ -198,8 +198,9 @@ def test_box_rejects_negative_bounds(q2):
 
 @pytest.mark.parametrize("primes, hi, message", [
     ([2], [(1 << 62) + 1, 0], "coordinates"),
-    # squarefree and below 2^63, but 15 times it is not
-    ([15, 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43 * 47 * 53], [0] * 4, "radicands"),
+    # squarefree and below 2^63, but 15 times it is not, and its axis is not [0, 0]
+    ([15, 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43 * 47 * 53], [0, 0, 0, 1],
+     "radicands"),
 ], ids=["coordinate", "radicand"])
 def test_scan_job_refuses_int64_overflow(primes, hi, message):
     field = make_field(primes)

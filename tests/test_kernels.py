@@ -128,18 +128,18 @@ def test_odometer_order_and_chunking(monkeypatch):
 
 
 @pytest.mark.parametrize("emb_lo, emb_hi, split", [
-    (0.0, 4.0, [(10, 10), (10, 10), (5, 40), (0, 45)]),
-    (16.0, 20.0, [(0, 60), (10, 30), (10, 10), (5, 5)]),
+    (0.0, 4.0, [(10, 10), (10, 10), (5, 10), (0, 40), (0, 35)]),
+    (16.0, 20.0, [(0, 10), (0, 20), (0, 40), (10, 20), (10, 10), (5, 5)]),
 ], ids=["survivors-first", "survivors-last"])
 def test_prefix_chunk_boundaries(emb_lo, emb_hi, split):
     # 21 prefixes n_0 = 0..20 of w = 5 points; the window keeps the five
     # prefixes n_0 = 0..4 or 16..20 whole, 5 candidates each, all survivors.
-    # A chunk of 12 makes passes of 12 and 9 prefixes, and a pass yields its
-    # prefixes in groups of at most 12 candidates: two kept prefixes (10),
-    # two more, then the fifth with the rest of the pass.  Survivors-first:
-    # 0-1, 2-3, 4-11, then 12-20 without candidates; survivors-last: 0-11
-    # without candidates, then 12-17, 18-19 and 20.  A candidate carried
-    # across a group or pass boundary would show.
+    # A chunk of 12 makes a first pass of 12 // 5 = 2 prefixes, then passes
+    # of 4, 8 and the last 7, and a pass yields its prefixes in groups of at
+    # most 12 candidates.  Survivors-first: 0-1; 2-3 (10) and 4-5 (5); 6-13
+    # and 14-20 without candidates.  Survivors-last: 0-1, 2-5 and 6-13
+    # without candidates; 14-17 (10), 18-19 (10) and 20 (5).  A candidate
+    # carried across a group or pass boundary would show.
     job = _job([0, -2], [20, 2], [[1.0, 0.0]], [emb_lo], [emb_hi])
     assert [(len(coords), n) for coords, n in scan_box(job, chunk=12)] == split
     want, n_want = collect_survivors(job, chunk=7)
@@ -525,7 +525,7 @@ def test_cached_plan_arrays_are_read_only():
         _yields(_with_lattice(job, lattice))
     arrays = []
     for plan in mqf.kernels._PLANS.plans.values():
-        for holder in (plan, plan.block):
+        for holder in (plan, *plan.built):
             arrays += [getattr(holder, name) for name in holder.__slots__
                        if isinstance(getattr(holder, name), np.ndarray)]
     assert len(arrays) > 20
@@ -536,10 +536,11 @@ def test_cached_plan_arrays_are_read_only():
 
 
 def test_plan_memo_is_bounded_by_prefix_rows():
-    # one pass of 1,000 one-point prefixes per box; 40 distinct boxes
+    # 1,000 one-point prefixes per box (the last axis is [1, 1], which a scan
+    # keeps; it would leave out a [0, 0] axis); 40 distinct boxes
     memo = mqf.kernels._PLANS
     memo.clear()
-    jobs = [_job([i, 0], [i + 999, 0], [[1.0, 1.0]], [-1.0], [1.0]) for i in range(40)]
+    jobs = [_job([i, 1], [i + 999, 1], [[1.0, 1.0]], [0.0], [2.0]) for i in range(40)]
     for job in jobs:
         _yields(job)
         assert memo.rows == sum(plan.rows for plan in memo.plans.values())
@@ -553,34 +554,50 @@ def test_plan_memo_is_bounded_by_prefix_rows():
     _yields(jobs[0])
     assert list(memo.plans.values())[:-1] == plans[2:] + plans[:1]
     assert memo.rows == len(plans) * 1000
-    # a plan that alone holds more rows than the bound is built but not kept
-    big = _job([0, 0], [mqf.kernels.PLAN_ROWS, 0], [[1.0, 1.0]], [-1.0], [1.0])
-    assert _yields(big) == [([(0, 0), (1, 0)], big.total_points())]
-    assert len(memo.plans) == len(plans) and memo.rows == len(plans) * 1000
+    # a plan of more prefixes than the bound keeps no passes and counts one row
+    big = _job([0, 1], [mqf.kernels.PLAN_ROWS, 1], [[1.0, 1.0]], [0.0], [2.0])
+    before = list(memo.plans.values())
+    assert _yields(big) == [([(0, 1), (1, 1)], big.total_points())]
+    *kept, newest = memo.plans.values()
+    assert kept == before and newest.built is None and newest.rows == 1
+    assert memo.rows == len(plans) * 1000 + 1
 
 
-# (survivors, covered) of every yield.  JOBS[2] at chunk 7: its 729
-# nine-point prefixes in 105 passes, each prefix holding up to 9 candidates,
-# so many groups hold one prefix; the split is checked from the rows below.
-# With LATTICES[2]: 75 digit prefixes in passes of 20, 20, 20 and 15,
-# holding 18, 32, 30 and 11 candidates, so the middle two passes yield two
-# groups each.  The 27 x 13 box with LATTICES[0]: 27 prefixes n_0 = -13..13
-# of 13 points in passes of 13, 13 and 1; the candidates lie at n_0 = -2..8
-# (1, 2 | 3, 2, 3, 4, 3, 2, 3, 2, 1), so the first pass is one group of 3,
-# the second splits after n_0 = 3 (12, then 11) and the third has none.
-# JOBS[2] at chunk 500: passes of 500 and 229 prefixes, yielded in 8 and 4
-# groups of at most 500 candidates, so every count is a multiple of 9.
+# (survivors, covered) of every yield.  A scan's first pass takes chunk //
+# ceil(w/d) prefix indices (at least one) and each later pass twice as many
+# as the one before, up to chunk.  JOBS[2] at chunk 7: its 729 nine-point
+# prefixes in passes of 1, 2, 4, then 7 each, each prefix holding up to 9
+# candidates, so many groups hold one prefix; the split is checked from the
+# rows below.  With LATTICES[2] (steps 2, 2, 4, 4): 5 x 5 x 3 = 75 digit
+# prefixes of up to ceil(9/4) = 3 candidates, in passes of 20 // 3 = 6, 12,
+# 20, 20 and 17, holding 3, 11, 33, 30 and 14 candidates, so the third and
+# the fourth yield two groups each (20 + 13, 20 + 10).  The 27 x 13 box with
+# LATTICES[0]: 27 prefixes n_0 = -13..13 of up to 7 candidates, in passes of
+# 1, 2, 4, 8 and 12; the candidates lie at n_0 = -2..8 (1, 2, 3, 2 | 3, 4, 3,
+# 2, 3, 2, 1), so the fourth pass (n_0 = -6..1) is one group of 8 and the
+# fifth splits after n_0 = 5 (12, then 6).  JOBS[2] at chunk 500: passes of
+# 55, 110, 220 and 344 prefixes, yielded in 1, 2, 4 and 5 groups of at most
+# 500 candidates, so every count is a multiple of 9.
 WIDE_LATTICE_JOB = _job([-13, -6], [13, 6], [[0.5, 0.5 * SQRT2], [0.5, -0.5 * SQRT2]],
                         [0.0, 0.0], [3.0, 3.0])
 MULTI_PASS = [
     (JOBS[2], None, 7, None),
-    (JOBS[2], LATTICES[2], 20, [(12, 1665), (7, 1332), (5, 414), (8, 1332), (4, 360),
-                                (9, 1458)]),
-    (WIDE_LATTICE_JOB, LATTICES[0], 13, [(0, 169), (4, 52), (2, 117), (0, 13)]),
-    (JOBS[2], None, 500, [(237, 783), (256, 648), (272, 603), (272, 603), (264, 612),
-                          (272, 612), (274, 603), (18, 36), (278, 576), (257, 657),
-                          (239, 792), (4, 36)]),
+    (JOBS[2], LATTICES[2], 20, [(3, 243), (7, 1296), (8, 1386), (5, 360), (8, 1422),
+                                (4, 324), (10, 1530)]),
+    (WIDE_LATTICE_JOB, LATTICES[0], 13, [(0, 13), (0, 26), (0, 52), (1, 104), (4, 52),
+                                         (1, 104)]),
+    (JOBS[2], None, 500, [(160, 495), (248, 693), (92, 297), (278, 576), (276, 603),
+                          (264, 612), (109, 189), (266, 612), (269, 621), (263, 657),
+                          (250, 693), (168, 513)]),
 ]
+
+
+def _pass_sizes(first, chunk, n_index):
+    sizes = []
+    while sum(sizes) < n_index:
+        sizes.append(min(first, n_index - sum(sizes)))
+        first = min(2 * first, chunk)
+    return sizes
 
 
 @pytest.mark.parametrize("job, lattice, chunk, split", MULTI_PASS)
@@ -588,13 +605,18 @@ def test_multi_pass_scan_is_unchanged(job, lattice, chunk, split):
     job = _with_lattice(job, lattice)
     cold = _cold(job, chunk=chunk)
     (plan,) = mqf.kernels._PLANS.plans.values()
-    assert plan.block is None and plan.n_index > chunk  # several passes, built per pass
+    # several passes, each kept as it was built
+    w = int(job.shape[-1])
+    step = 1 if lattice is None else lattice.steps[-1]
+    assert plan.first == max(1, chunk // -(-w // step))
+    sizes = _pass_sizes(plan.first, chunk, plan.n_index)
+    assert len(sizes) > 1 and [block.count for block in plan.built] == sizes
     assert _yields(job, chunk=chunk) == cold
     if split is None:
         # whole nine-point prefixes per yield, at least one yield per pass,
         # and more than a chunk of survivors only from a single prefix
         assert all(n % 9 == 0 for _, n in cold) and sum(n for _, n in cold) == 6561
-        assert len(cold) >= -(-plan.n_index // chunk)
+        assert len(cold) >= len(sizes) == 3 + 103 + 1
         assert all(len(rows) <= chunk or len({row[:-1] for row in rows}) == 1
                    for rows, _ in cold)
     else:
@@ -602,6 +624,29 @@ def test_multi_pass_scan_is_unchanged(job, lattice, chunk, split):
     survivors = [row for rows, _ in cold for row in rows]
     assert survivors == _reference_scan(job)
     assert survivors == [row for rows, _ in _cold(job) for row in rows]  # in one pass
+
+
+def test_a_caller_that_stops_early_builds_one_pass():
+    # JOBS[2] at chunk 100: a first pass of 100 // 9 = 11 prefixes (99 box
+    # points), so a caller that stops at the first yield has built and tested
+    # that pass only
+    mqf.kernels._PLANS.clear()
+    scan = scan_box(JOBS[2], chunk=100)
+    rows, covered = next(scan)
+    scan.close()
+    (plan,) = mqf.kernels._PLANS.plans.values()
+    assert plan.first == 11 and len(plan.built) == 1 and covered == 99
+    assert _rows(rows) == _reference_scan(JOBS[2], stop=99)
+    # a plan too large to keep builds its passes as it goes; its first covers
+    # chunk // 100 prefixes of 100 points and holds the survivors n_0 = 0
+    wide = _job([0, 0], [mqf.kernels.PLAN_ROWS, 99], [[1.0, 0.0]], [-0.5], [0.5])
+    mqf.kernels._PLANS.clear()
+    scan = scan_box(wide)
+    rows, covered = next(scan)
+    scan.close()
+    (plan,) = mqf.kernels._PLANS.plans.values()
+    assert plan.built is None and covered == mqf.kernels.CHUNK // 100 * 100
+    assert _rows(rows) == [(0, n) for n in range(100)]
 
 
 def _groups(job, chunk):
@@ -643,57 +688,59 @@ def test_yields_hold_at_most_a_chunk_of_candidates(job, w):
                 last = _reference_scan(job, stop=covered)[-1]
                 assert last == rows[-1]  # the yield covers its last prefix
         assert covered == total
-        if chunk >= n_index:  # one pass: its candidates split into groups
-            (plan,) = mqf.kernels._PLANS.plans.values()
-            assert plan.block is not None
-            n_survivors = len(_reference_scan(job))
-            assert len(groups) >= -(-n_survivors // chunk)
 
 
-def test_wide_pair_scans_in_one_yield():
+def test_wide_pair_scans_in_six_passes():
     # the D = 479 pair (197 - 9 sqrt 479, 1729 - 79 sqrt 479) of the N = 4
     # set: a 9,337 x 427 box whose windows leave 18,855 candidates, fewer
-    # than a chunk, in one pass of 9,337 prefixes, which the memo keeps
+    # than a chunk.  Its prefixes run in passes of 65,536 // 427 = 153, 306,
+    # 612, 1,224, 2,448 and the last 4,594, one yield each, and the memo
+    # keeps them all
     field = make_field([479])
-    job, axes = _pair_job(field.element({0: 197, 1: -9}), field.element({0: 1729, 1: -79}))
-    assert axes == [0, 1] and job.shape.tolist() == [9337, 427]
+    job = _pair_job(field.element({0: 197, 1: -9}), field.element({0: 1729, 1: -79}))
+    assert job.shape.tolist() == [9337, 427]
     cold = _cold(job)
-    assert len(cold) == 1 and cold[0][1] == job.total_points() == 3_986_899
-    assert len(cold[0][0]) == 7
+    sizes = [153, 306, 612, 1224, 2448, 4594]
+    assert [n for _, n in cold] == [427 * size for size in sizes]
+    assert sum(n for _, n in cold) == job.total_points() == 3_986_899
+    assert sum(len(rows) for rows, _ in cold) == 7
     (plan,) = mqf.kernels._PLANS.plans.values()
-    assert plan.block is not None and plan.rows == 9337 <= mqf.kernels.PLAN_ROWS
+    assert [block.count for block in plan.built] == sizes
+    assert plan.n_index == 9337 <= mqf.kernels.PLAN_ROWS
+    built = list(plan.built)
     assert _yields(job) == cold and list(mqf.kernels._PLANS.plans.values()) == [plan]
+    assert plan.built == built  # the warm scan built nothing
 
 
-def test_dropped_axes_match_the_whole_box():
+def test_zero_axes_are_left_out_of_a_lattice_free_scan():
     # a lattice-free box of Q(sqrt 2, sqrt 3, sqrt 5) whose axes 2, 4, 5 and 7
-    # are [0, 0]: the job over the other axes, with zeros put back, has the
-    # survivors and covered counts of the whole box's job
+    # are [0, 0]: the plan scans axes 0, 1, 3 and 6 only, and its rows, with
+    # 0 on the other axes, are those of a scan of the whole box
     field = make_field([2, 3, 5])
     half = [6, 4, 0, 3, 0, 0, 2, 0]
-    axes = [0, 1, 3, 6]
     emb = np.full(8, 1.0)
+    everywhere = Lattice(2, (1,) * 8, tuple(np.zeros(2 ** j, dtype=np.int64) for j in range(8)))
     for ell_bound in (-1, 30):
-        whole = scan_job(field, [-m for m in half], half, -emb, emb, ell_bound=ell_bound)
-        kept = scan_job(field, [-m for m in half], half, -emb, emb, ell_bound=ell_bound,
-                        axes=axes)
-        assert kept.lo.shape == (4,) and kept.total_points() == whole.total_points()
-        assert np.array_equal(kept.margin, whole.margin)
-        total = whole.total_points()
-        assert 200 < len(_reference_scan(whole)) < 300
+        job = scan_job(field, [-m for m in half], half, -emb, emb, ell_bound=ell_bound)
+        assert job.ell_coeffs[[2, 4, 5, 7]].tolist() == [0] * 4
+        total = job.total_points()
+        assert 200 < len(_reference_scan(job)) < 300
         for budget in (None, 1, 777, 1000, total - 1):
-            want = _reference_scan(whole, stop=budget)
-            got, scanned = collect_survivors(kept, budget=budget, chunk=50)
-            rows = np.zeros((len(got), 8), dtype=np.int64)
-            rows[:, axes] = got
-            assert _rows(rows) == want
-            assert scanned == min(total, budget or total)
-    # the radicand guard reads the kept axes only: 15 times the second prime
-    # overflows int64, but axis 3 is [0, 0]
+            for chunk in (50, mqf.kernels.CHUNK):
+                got, scanned = collect_survivors(job, budget=budget, chunk=chunk)
+                assert _rows(got) == _reference_scan(job, stop=budget)
+                assert scanned == min(total, budget or total)
+        cold = _cold(job)
+        (plan,) = mqf.kernels._PLANS.plans.values()
+        assert plan.axes.tolist() == [0, 1, 3, 6] and plan.m == 4
+        # a lattice can exclude the origin of an axis, so a lattice scan keeps every axis
+        assert _cold(replace(job, lattice=everywhere)) == cold
+        (plan,) = mqf.kernels._PLANS.plans.values()
+        assert plan.m == 8
+    # every axis [0, 0]: the radicands past 2^63 never enter the ellipsoid,
+    # and the scan holds the origin
     big = make_field([15, 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43 * 47 * 53])
     zeros = np.zeros(4)
-    with pytest.raises(ScanOverflowError, match="radicands"):
-        scan_job(big, [0, -1, -1, 0], [0, 1, 1, 0], zeros, zeros)
-    job = scan_job(big, [0, -1, -1, 0], [0, 1, 1, 0], zeros, zeros, axes=[0, 1, 2])
-    assert job.ell_coeffs.tolist() == list(big.radicands[:3])
-    assert _rows(collect_survivors(job)[0]) == _reference_scan(job) == [(0, 0, 0)]
+    job = scan_job(big, [0] * 4, [0] * 4, zeros, zeros, ell_bound=0)
+    assert job.ell_coeffs.tolist() == [0] * 4
+    assert _cold(job) == [([(0, 0, 0, 0)], 1)] == [(_reference_scan(job), 1)]
