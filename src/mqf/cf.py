@@ -21,7 +21,7 @@ from .errors import (
     ScreenMismatchError,
     WitnessNotFoundError,
 )
-from .fields import FieldElement, MultiquadField, make_field, is_squarefree
+from .fields import FieldElement, MultiquadField, make_field
 
 DEFAULT_TRACE_BOUND = 1000
 DEFAULT_SCAN_LIMIT = 100_000
@@ -53,19 +53,23 @@ def _cf_terms(D: int, P: int, Q: int):
         Q = (D - P * P) // Q
 
 
-def _require_radicand(D: int) -> None:
-    """Raise unless D is a squarefree integer >= 2; a square has its own error."""
+def _quadratic_field(D: int) -> MultiquadField:
+    """Q(sqrt(D)) for a squarefree integer D >= 2, which make_field decides
+    by factoring D once; a smaller or non-squarefree D raises
+    NotSquarefreeError, and a square, PerfectSquareError."""
     if D < 2:
         raise NotSquarefreeError(D, "D")
     if isqrt(D) ** 2 == D:
         raise PerfectSquareError(f"{D} is a perfect square")
-    if not is_squarefree(D):
-        raise NotSquarefreeError(D, "D")
+    try:
+        return make_field([D])
+    except NotSquarefreeError:
+        raise NotSquarefreeError(D, "D") from None
 
 
 def cf_expand(D: int) -> CFExpansion:
     """Exact periodic expansion of sqrt(D) via the integer (P, Q) recurrence."""
-    _require_radicand(D)
+    _quadratic_field(D)
     a0 = isqrt(D)
     period = []
     terms = _cf_terms(D, 0, 1)
@@ -154,16 +158,37 @@ def quadratic_candidates(cf: CFExpansion, trace_bound: int) -> list[FieldElement
             for n0, n1 in _semiconvergent_coords(cf.D, trace_bound)]
 
 
-def _pair_holds(D: int, a: tuple[int, int], b: tuple[int, int]) -> bool:
+def _relative_minima(D: int, trace_bound: int) -> list[tuple[int, int, int]]:
+    """The relative minima alpha_n = (n0 + n1 sqrt(D))/2 of O_K
+    (`_convergent_chain`), n = -1, 0, 1, ..., as the screen `_pair_holds`
+    reads them: (floor(2 alpha_n)^2, n0^2 + n1^2 D, 2 n0 n1).
+
+    The list ends at the first alpha_n with floor(2 alpha_n)^2 > 16
+    trace_bound^2.  For totally positive a, b of trace <= trace_bound,
+    4ab = X0 + X1 sqrt(D) has X0 = 2 Tr(ab) <= 2 Tr(a) Tr(b), so that last
+    entry is past the screen's stop 8 X0 for every such pair.
+    """
+    stop = 16 * trace_bound * trace_bound
+    minima = []
+    for n0, n1 in _convergent_chain(D):
+        floor_sq = _twice_embedding_floor(D, n0, n1) ** 2
+        minima.append((floor_sq, n0 * n0 + n1 * n1 * D, 2 * n0 * n1))
+        if floor_sq > stop:
+            return minima
+
+
+def _pair_holds(D: int, minima: list[tuple[int, int, int]],
+                a: tuple[int, int], b: tuple[int, int]) -> bool:
     """Exactly whether 4ab >= c^2 forces c = 0 for c in O_K, K = Q(sqrt(D));
-    a and b are given by their coordinates (n0, n1), x = (n0 + n1 sqrt(D))/2.
+    a and b are given by their coordinates (n0, n1), x = (n0 + n1 sqrt(D))/2,
+    and ``minima`` is `_relative_minima` of D up to the larger trace.
 
     A nonzero c with 4ab >= c^2 lies in the rectangle |sigma_s(c)| <=
     2 sqrt(sigma_s(ab)); a lattice point there that is minimal in both
     |sigma_s| is a relative minimum of O_K, which is +-alpha_n or
-    +-alpha_n' (`_convergent_chain`).  So the pair holds exactly when no
-    alpha_n or alpha_n' satisfies 4ab >= c^2, and the walk stops once
-    alpha_n^2 exceeds 4 Tr(ab), which bounds both 4 sigma_s(ab).
+    +-alpha_n'.  So the pair holds exactly when no alpha_n or alpha_n'
+    satisfies 4ab >= c^2, and the walk stops once alpha_n^2 exceeds
+    4 Tr(ab), which bounds both 4 sigma_s(ab).
 
     Integers only: 4ab = X0 + X1 sqrt(D), and c = (n0 + n1 sqrt(D))/2 has
     4(4ab - c^2) = u + v sqrt(D), which is totally >= 0 exactly when u >= 0
@@ -172,38 +197,33 @@ def _pair_holds(D: int, a: tuple[int, int], b: tuple[int, int]) -> bool:
     (a0, a1), (b0, b1) = a, b
     X0 = a0 * b0 + a1 * b1 * D
     X1 = a0 * b1 + a1 * b0
-    for n0, n1 in _convergent_chain(D):
-        if _twice_embedding_floor(D, n0, n1) ** 2 > 8 * X0:  # alpha_n^2 > 4 Tr(ab) = 2 X0
+    stop, u0, v0 = 8 * X0, 4 * X0, 4 * X1
+    for floor_sq, square, cross in minima:
+        if floor_sq > stop:  # alpha_n^2 > 4 Tr(ab) = 2 X0
             return True
-        u = 4 * X0 - n0 * n0 - n1 * n1 * D
-        if u >= 0 and any(u * u >= v * v * D for v in (4 * X1 - 2 * n0 * n1,
-                                                        4 * X1 + 2 * n0 * n1)):
+        u = u0 - square
+        if u >= 0 and (u * u >= (v0 - cross) ** 2 * D or u * u >= (v0 + cross) ** 2 * D):
             return False
 
 
 def _search_pool(D: int, pool: list[tuple[int, int]],
                  n_wanted: int) -> list[tuple[int, int]] | None:
     """Greedy depth-first selection by increasing trace with backtracking,
-    each pair decided by the exact screen `_pair_holds`.
+    each pair decided by the exact screen `_pair_holds` over one walk of the
+    relative minima.
 
     Returns the coordinates of the witnesses, or None when the pool admits no
     set of n_wanted.
     """
-    cache: dict[tuple[int, int], bool] = {}
-
-    def pair_ok(i: int, j: int) -> bool:
-        key = (i, j)
-        if key not in cache:
-            cache[key] = _pair_holds(D, pool[i], pool[j])
-        return cache[key]
-
+    minima = _relative_minima(D, max(n0 for n0, _ in pool))
     chosen: list[int] = []
 
     def extend(start: int) -> bool:
         if len(chosen) == n_wanted:
             return True
-        for idx in range(start, len(pool)):
-            if all(pair_ok(prev, idx) for prev in chosen):
+        # a later start leaves too few elements to fill the set
+        for idx in range(start, len(pool) + 1 - (n_wanted - len(chosen))):
+            if all(_pair_holds(D, minima, pool[prev], pool[idx]) for prev in chosen):
                 chosen.append(idx)
                 if extend(idx + 1):
                     return True
@@ -249,8 +269,7 @@ def search_witnesses(D: int, N: int, trace_bound: int = DEFAULT_TRACE_BOUND,
     WitnessNotFoundError when the pool admits no certified set; that is a
     statement about this D and these bounds only, never a refutation.
     """
-    _require_radicand(D)
-    ws, budget_limited = _witnesses_in_field(make_field([D]), N, trace_bound, pair_budget)
+    ws, budget_limited = _witnesses_in_field(_quadratic_field(D), N, trace_bound, pair_budget)
     if ws is None:
         raise WitnessNotFoundError(
             f"no certified witness set of size {N} for D={D} "
@@ -286,9 +305,11 @@ def scan_for_witnesses(N: int, *, d_limit: int = DEFAULT_SCAN_LIMIT,
     """
     budget_limited = False
     for D in range(max(2, d_start), d_limit + 1):
-        if not is_squarefree(D):  # no square D >= 2 is squarefree
+        try:
+            field = _quadratic_field(D)
+        except (NotSquarefreeError, PerfectSquareError):
             continue
-        ws, limited = _witnesses_in_field(make_field([D]), N, trace_bound, pair_budget)
+        ws, limited = _witnesses_in_field(field, N, trace_bound, pair_budget)
         if ws is not None:
             return ws
         budget_limited = budget_limited or limited

@@ -350,3 +350,40 @@ def semiconvergent_coords_full_walk(D: int, trace_bound: int) -> list[tuple[int,
         if _twice_embedding_floor(D, *nxt) // 2 > trace_bound:
             return sorted(found)
         prev = nxt
+
+
+def pair_holds_walk(D: int, a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """``cf._pair_holds`` walking ``_convergent_chain(D)`` afresh for this
+    one pair, from n = -1 until alpha_n^2 > 4 Tr(ab), with no precomputed
+    list of minima."""
+    (a0, a1), (b0, b1) = a, b
+    X0 = a0 * b0 + a1 * b1 * D
+    X1 = a0 * b1 + a1 * b0
+    for n0, n1 in _convergent_chain(D):
+        if _twice_embedding_floor(D, n0, n1) ** 2 > 8 * X0:  # alpha_n^2 > 4 Tr(ab) = 2 X0
+            return True
+        u = 4 * X0 - n0 * n0 - n1 * n1 * D
+        if u >= 0 and any(u * u >= v * v * D for v in (4 * X1 - 2 * n0 * n1,
+                                                        4 * X1 + 2 * n0 * n1)):
+            return False
+
+
+def search_pool_unpruned(D: int, pool: list[tuple[int, int]],
+                         n_wanted: int) -> list[tuple[int, int]] | None:
+    """``cf._search_pool`` without its pruning: the same depth-first order by
+    increasing trace, every start tried at every depth, each pair decided by
+    ``pair_holds_walk``."""
+    chosen: list[int] = []
+
+    def extend(start: int) -> bool:
+        if len(chosen) == n_wanted:
+            return True
+        for idx in range(start, len(pool)):
+            if all(pair_holds_walk(D, pool[prev], pool[idx]) for prev in chosen):
+                chosen.append(idx)
+                if extend(idx + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    return [pool[i] for i in chosen] if extend(0) else None

@@ -1,6 +1,7 @@
 import json
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import islice
 from math import isqrt
@@ -8,13 +9,16 @@ from math import isqrt
 import pytest
 
 from conftest import random_ok_element, shift_totally_positive
-from oracles import semiconvergent_coords_full_walk
+from oracles import pair_holds_walk, search_pool_unpruned, semiconvergent_coords_full_walk
+import mqf.cf
+import mqf.fields
 from mqf.certifier import WitnessSet, pair_condition_certify, verify_certificate
 from mqf.cf import (
     DEFAULT_TRACE_BOUND,
     _cf_terms,
     _convergent_chain,
     _pair_holds,
+    _relative_minima,
     _search_pool,
     _semiconvergent_coords,
     _thin_pool,
@@ -286,17 +290,22 @@ def _half_coords(x):
     return 2 * n0 // den, 2 * n1 // den
 
 
-def _assert_screen_matches_enumeration(D, a, b):
+def _minima_for(D, pool):
+    return _relative_minima(D, max(n0 for n0, _ in pool))
+
+
+def _assert_screen_matches_enumeration(D, minima, a, b):
     """The screen on coordinates (n0, n1), x = (n0 + n1 sqrt(D))/2, against
     the enumeration on the elements."""
     field = make_field([D])
     holds = pair_condition_certify(field.from_scaled(a, 2), field.from_scaled(b, 2)).holds
-    assert _pair_holds(D, a, b) == holds, (D, a, b)
+    assert _pair_holds(D, minima, a, b) == holds, (D, a, b)
     return holds
 
 
 def _assert_screen_matches_on_pool(D, pool):
-    return sum(_assert_screen_matches_enumeration(D, a, b)
+    minima = _minima_for(D, pool)
+    return sum(_assert_screen_matches_enumeration(D, minima, a, b)
                for i, a in enumerate(pool) for b in pool[i + 1:])
 
 
@@ -322,9 +331,58 @@ def test_screen_matches_enumeration_on_random_pairs():
     for D in (2, 3, 5, 13, 15, 21, 55, 79, 101, 479):
         field = make_field([D])
         for _ in range(30):
-            a, b = (shift_totally_positive(random_ok_element(field, rng, 3)) for _ in "ab")
-            held += _assert_screen_matches_enumeration(D, _half_coords(a), _half_coords(b))
+            a, b = (_half_coords(shift_totally_positive(random_ok_element(field, rng, 3)))
+                    for _ in "ab")
+            held += _assert_screen_matches_enumeration(D, _minima_for(D, [a, b]), a, b)
     assert held > 0
+
+
+def _thin_pools(d_limit, trace_bound):
+    for D in range(2, d_limit):
+        if is_squarefree(D):
+            yield D, _thin_pool(make_field([D]), trace_bound)
+
+
+def test_screen_matches_the_per_pair_walk():
+    pairs = held = 0
+    for D, pool in _thin_pools(1000, 2000):
+        if pool:
+            minima = _minima_for(D, pool)
+            for i, a in enumerate(pool):
+                for b in pool[i + 1:]:
+                    holds = _pair_holds(D, minima, a, b)
+                    assert holds == pair_holds_walk(D, a, b), (D, a, b)
+                    pairs += 1
+                    held += holds
+    assert pairs == 67123 and held > 1000
+
+
+def test_minima_reach_past_every_pair():
+    # the screen stops at the first alpha_n with floor(2 alpha_n)^2 > 8 X0,
+    # 4ab = X0 + X1 sqrt(D); the list must hold one for every pair of the pool,
+    # and end there for the largest trace
+    for D, pool in _thin_pools(1000, 2000):
+        if pool:
+            minima = _minima_for(D, pool)
+            x0 = max(a0 * b0 + a1 * b1 * D for a0, a1 in pool for b0, b1 in pool)
+            assert minima[-1][0] > 8 * x0, D
+            top = max(n0 for n0, _ in pool)
+            assert all(floor_sq <= 16 * top * top for floor_sq, _, _ in minima[:-1]), D
+
+
+def test_screen_on_a_five_set_at_a_large_d():
+    # 1, 10873 - s, 456665 - 42 s, 4555777 - 419 s, 190885969 - 17556 s with
+    # s = sqrt(118221610): every pair holds
+    D = 118_221_610
+    pool = [(2 * r, -2 * q) for r, q in ((1, 0), (10873, 1), (456665, 42),
+                                         (4555777, 419), (190885969, 17556))]
+    assert all(n0 * n0 > n1 * n1 * D for n0, n1 in pool)  # totally positive
+    minima = _minima_for(D, pool)
+    for i, a in enumerate(pool):
+        for b in pool[i + 1:]:
+            assert _pair_holds(D, minima, a, b), (a, b)
+            assert pair_holds_walk(D, a, b), (a, b)
+    assert _search_pool(D, pool, 5) == pool
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +439,55 @@ def test_search_agrees_with_a_cheap_first_pass():
                     field.from_scaled(c, 2) for c in found), (D, N)
                 agreed += 1
     assert agreed >= 90
+
+
+def test_pruned_search_equals_the_unpruned_search():
+    searches = found = 0
+    for D, pool in _thin_pools(700, 2000):
+        for N in (2, 3, 4):
+            if len(pool) >= N:
+                result = _search_pool(D, pool, N)
+                assert result == search_pool_unpruned(D, pool, N), (D, N)
+                searches += 1
+                found += result is not None
+    assert searches == 1270 and found > 100
+
+
+def test_search_work_counts(monkeypatch):
+    # the work of the dscan searches, not their time: one walk of the relative
+    # minima per searched D, a fixed number of screen calls, and one
+    # factorization per non-square D
+    searching, walks, counts = [], Counter(), Counter()
+
+    def search_pool(D, pool, n_wanted):
+        searching.append(D)
+        try:
+            return _search_pool(D, pool, n_wanted)
+        finally:
+            searching.pop()
+
+    def chain(D):
+        if searching:
+            walks[D] += 1
+        return _convergent_chain(D)
+
+    def counted(module, name):
+        func = getattr(module, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return func(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    monkeypatch.setattr(mqf.cf, "_search_pool", search_pool)
+    monkeypatch.setattr(mqf.cf, "_convergent_chain", chain)
+    counted(mqf.cf, "_pair_holds")
+    counted(mqf.fields, "factor")
+    assert scan_for_witnesses(3).field.radicands[1] == 55
+    assert scan_for_witnesses(4, trace_bound=4000, d_start=479, d_limit=479).certified
+    assert len(walks) == 32 and set(walks.values()) == {1}
+    assert counts["_pair_holds"] == 1437
+    assert counts["factor"] == 49  # 2..55 less its 6 squares, and 479
 
 
 def test_scan_finds_n2_quickly():

@@ -156,7 +156,7 @@ def test_cli_witness_budget_limited_exit_1(capsys):
 def test_cli_witness_screen_mismatch_exit_3(tmp_path, monkeypatch, capsys):
     # a screen that accepts every pair hands certification a failing set:
     # an internal error (exit 3) naming the pair, never "verified-false"
-    monkeypatch.setattr("mqf.cf._pair_holds", lambda D, a, b: True)
+    monkeypatch.setattr("mqf.cf._pair_holds", lambda D, minima, a, b: True)
     out = tmp_path / "w.json"
     assert run_cli("witness", "--N", "3", "--D", "55", "--out", str(out)) == 3
     assert "pair (0,1)" in capsys.readouterr().err
